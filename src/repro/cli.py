@@ -47,23 +47,6 @@ import time
 from dataclasses import asdict
 from typing import Callable, List, Optional
 
-from repro.analysis import LintConfig, collect_sources, render_json, render_text, run_lint
-from repro.analysis.dataflow import find_function, render_cfg_dot, render_cfg_text
-from repro.analysis.explain import explain_index, explain_rule, explainable_rules
-from repro.analysis.perf import (
-    DEFAULT_PERF_CACHE_NAME,
-    PerfCache,
-    analyze_perf,
-    audit_findings,
-    render_audit_json,
-    render_audit_text,
-)
-from repro.analysis.graph import (
-    build_project,
-    load_contract,
-    render_graph_dot,
-    render_graph_json,
-)
 from repro.core.audit import ModelAuditor
 from repro.core.citation import cite_model
 from repro.core.docgen import CardGenerator
@@ -461,6 +444,15 @@ def _parse_rule_list(raw: Optional[str]) -> Optional[List[str]]:
 
 
 def _cmd_lint(args) -> int:
+    # The analysis package is imported by the commands that use it, so
+    # every other command (notably ``serve``) starts without it.
+    from repro.analysis import LintConfig, render_json, render_text, run_lint
+    from repro.analysis.explain import (
+        explain_index,
+        explain_rule,
+        explainable_rules,
+    )
+
     if args.explain is not None:
         if args.explain == "":
             # Bare --explain: the grouped index of every rule.
@@ -502,6 +494,16 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_perf_audit(args) -> int:
+    from repro.analysis import collect_sources
+    from repro.analysis.graph import build_project, load_contract
+    from repro.analysis.perf import (
+        DEFAULT_PERF_CACHE_NAME,
+        PerfCache,
+        analyze_perf,
+        audit_findings,
+        render_audit_json,
+        render_audit_text,
+    )
     from repro.obs import timeseries
     from repro.obs.analyze import analyze_trace, load_trace
 
@@ -555,6 +557,19 @@ def _cmd_perf_audit(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from repro.analysis import collect_sources
+    from repro.analysis.dataflow import (
+        find_function,
+        render_cfg_dot,
+        render_cfg_text,
+    )
+    from repro.analysis.graph import (
+        build_project,
+        load_contract,
+        render_graph_dot,
+        render_graph_json,
+    )
+
     root = os.path.abspath(args.root)
     contract = load_contract(
         args.arch or os.path.join(root, ".repro-arch.toml")

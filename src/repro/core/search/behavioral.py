@@ -181,13 +181,15 @@ class BehavioralSearcher:
     def search_text_batch(
         self, query_texts: Sequence[str], k: int = 10
     ) -> List[List[Tuple[str, float]]]:
-        """Batched free-text search: one index pass for the whole batch.
+        """Batched free-text search: one ``query_batch`` call for the batch.
 
         Positionally aligned with ``query_texts``.  Queries that map to
         no domains return ``[]`` exactly as :meth:`search_text` does;
-        the rest are stacked into a single profile matrix and scored by
-        the index's ``query_batch`` (one matrix-matrix product on the
-        flat backend instead of one matrix-vector product per query).
+        the rest are stacked into a single profile matrix and passed to
+        the index's ``query_batch``.  That saves per-call overhead, not
+        scan work: the flat backend still scores each row with its own
+        matrix-vector product, so every row matches :meth:`search_text`
+        bit for bit.
         """
         results: List[List[Tuple[str, float]]] = [[] for _ in query_texts]
         profiles: List[np.ndarray] = []

@@ -181,8 +181,10 @@ class SearchEngine:
         The serve layer's micro-batcher funnels coalesced requests here:
         every behavioral lookup the batch needs (including the
         behavioral channel of each hybrid query) is grouped by effective
-        k, deduplicated, and scored in one batched index pass per group,
-        so N coalesced queries cost one matrix scan instead of N.
+        k, deduplicated, and passed to one ``query_batch`` call per
+        group, so a repeated query is ranked once.  Each distinct query
+        is still one matrix-vector scan; batching saves dispatch and
+        locking, not scan work.
         Results align positionally with ``queries``, and each element
         matches what :meth:`search` would return for the same triple.
         """

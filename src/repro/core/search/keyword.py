@@ -27,21 +27,34 @@ class BM25Index:
         self.b = b
         self._postings: Dict[str, Dict[str, int]] = defaultdict(dict)
         self._doc_lengths: Dict[str, int] = {}
+        #: Running sum of ``_doc_lengths`` (exact: integers), so ``add``
+        #: stays O(len(text)) instead of re-summing every document.
+        self._total_length = 0
         self._avg_length = 0.0
 
     def __len__(self) -> int:
         return len(self._doc_lengths)
 
     def add(self, doc_id: str, text: str) -> None:
+        """Index ``text`` under ``doc_id``, replacing any earlier text."""
+        old_length = self._doc_lengths.get(doc_id)
+        if old_length is not None:
+            # Re-adding is rare; a postings sweep keeps the common path
+            # free of per-document term lists.
+            self._total_length -= old_length
+            for token in list(self._postings):
+                posting = self._postings[token]
+                if posting.pop(doc_id, None) is not None and not posting:
+                    del self._postings[token]
         tokens = simple_tokenize(text)
         self._doc_lengths[doc_id] = len(tokens)
+        self._total_length += len(tokens)
         counts: Dict[str, int] = defaultdict(int)
         for token in tokens:
             counts[token] += 1
         for token, count in counts.items():
             self._postings[token][doc_id] = count
-        total = sum(self._doc_lengths.values())
-        self._avg_length = total / len(self._doc_lengths)
+        self._avg_length = self._total_length / len(self._doc_lengths)
 
     def query(self, text: str, k: int = 10) -> List[Tuple[str, float]]:
         """Top-k (doc_id, bm25 score), best first; empty-score docs omitted."""

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
-from scipy import stats
 
 from repro.core.versioning.classify import classify_transform, looks_like_merge
 from repro.core.versioning.distance import states_aligned, weight_l2_distance
@@ -56,6 +55,10 @@ class RecoveryConfig:
 
 def _weight_kurtosis(state: Dict[str, np.ndarray]) -> float:
     """Kurtosis of the pooled weight distribution (MoTHer's direction cue)."""
+    # Deferred: scipy.stats costs ~0.5 s to import, and only recovery
+    # needs it, so the search and serve import path stays scipy-free.
+    from scipy import stats
+
     flat = np.concatenate([arr.ravel() for arr in state.values()])
     return float(stats.kurtosis(flat))
 

@@ -12,13 +12,12 @@ from repro.index.embedders import (
 from repro.index.flat import FlatIndex
 from repro.index.hnsw import HNSWIndex
 from repro.index.lsh import LSHIndex
-from repro.index.hybrid import HybridIndex
 from repro.index.metrics import measure_recall, recall_at_k
 from repro.index.sharded import ShardedIndex
 
 __all__ = [
     "BehavioralEmbedder", "ConcatEmbedder", "EmbeddingCache",
     "MetadataEmbedder", "OutputEmbedder", "WeightStatEmbedder",
-    "l2_normalize", "FlatIndex", "HNSWIndex", "LSHIndex", "HybridIndex",
+    "l2_normalize", "FlatIndex", "HNSWIndex", "LSHIndex",
     "ShardedIndex", "measure_recall", "recall_at_k",
 ]

@@ -10,12 +10,18 @@ and its configuration; any model whose digest is cached skips
 rehydration and embedding entirely.
 
 On disk each space is one ``.npz`` under the cache directory
-(conventionally ``<lake>/cache/``) mapping digests to vectors — or,
-when the lake itself is sharded, one ``.npz`` *per digest-prefix shard*
-under ``embeddings-<space>/<pp>.npz``.  Sharded spaces load lazily, a
-shard at a time as digests are looked up, so a warm rebuild touching a
-slice of the lake never materializes the whole cache; and each flush
-rewrites only the shards that actually changed.
+(conventionally ``<lake>/cache/``) — or, when the lake itself is
+sharded, one ``.npz`` *per digest-prefix shard* under
+``embeddings-<space>/<pp>.npz``.  Each file holds exactly two members:
+``digests`` (a string array) and ``vectors`` (the matching float64
+rows stacked into one matrix), so loading a file costs one open and two
+member reads however many models it covers.  A file in any other
+layout (such as the older one-member-per-digest archives) reads as
+empty: its entries miss, get recomputed, and the next flush rewrites
+the file in the current layout.  Sharded spaces load lazily, a shard at
+a time as digests are looked up, so a warm rebuild touching a slice of
+the lake never materializes the whole cache; and each flush rewrites
+only the shards that actually changed.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from repro.obs.logging import get_logger
 from repro.reliability.atomic import atomic_write_npz
 
 _log = get_logger("index.embed_cache")
+
+#: The members of a cache file, in the order ``flush`` writes them.
+_MEMBERS = ["digests", "vectors"]
 
 
 class EmbeddingCache:
@@ -83,7 +92,8 @@ class EmbeddingCache:
         Runs entirely under the cache lock: exactly one thread performs
         the disk read for a given shard, and every later caller gets the
         *same* dict object, so concurrent puts can never be lost to a
-        racing reload.
+        racing reload.  Loaded vectors are row views of the file's one
+        matrix.
         """
         with self._lock:
             shards = self._spaces.setdefault(space, {})
@@ -95,9 +105,10 @@ class EmbeddingCache:
                 path = self._path(space, shard)
                 if os.path.exists(path):
                     with np.load(path) as archive:  # repro: noqa[whole-file-read]
-                        vectors = {
-                            digest: archive[digest] for digest in archive.files
-                        }
+                        if archive.files == _MEMBERS:
+                            vectors = dict(zip(
+                                archive["digests"].tolist(), archive["vectors"]
+                            ))
                     _log.debug(
                         "shard.loaded", space=space, shard=shard or "-",
                         entries=len(vectors),
@@ -135,10 +146,12 @@ class EmbeddingCache:
     def flush(self) -> None:
         """Persist dirty shards to disk (atomic per file); no-op in memory mode.
 
-        Holds the cache lock for the whole sweep so a concurrent reader
-        can neither observe a shard file mid-rewrite through a racing
-        lazy load nor slip a put between the snapshot and the dirty-set
-        clear (which would silently drop its dirty mark).
+        A shard is written as its sorted digests plus one stacked matrix
+        of their vectors.  Holds the cache lock for the whole sweep so a
+        concurrent reader can neither observe a shard file mid-rewrite
+        through a racing lazy load nor slip a put between the snapshot
+        and the dirty-set clear (which would silently drop its dirty
+        mark).
         """
         with self._lock:
             if self._directory is None:
@@ -146,9 +159,13 @@ class EmbeddingCache:
                 return
             for space, shard in sorted(self._dirty):
                 vectors = self._spaces[space][shard]
+                digests = sorted(vectors)
                 path = self._path(space, shard)
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                atomic_write_npz(path, vectors)
+                atomic_write_npz(path, {
+                    "digests": np.array(digests),
+                    "vectors": np.stack([vectors[d] for d in digests]),
+                })
                 _log.debug(
                     "shard.flushed", space=space, shard=shard or "-",
                     entries=len(vectors),

@@ -149,9 +149,10 @@ class ShardedIndex:
         """Batched global top-k: one batched probe per shard, then the
         same ``(-score, id)`` merge as :meth:`query`, per row.
 
-        With a flat backend each shard scores the whole batch in a
-        single matrix-matrix product, so the scan cost of N coalesced
-        queries is one BLAS call per shard instead of N.
+        Each shard sees one ``query_batch`` call per batch instead of N
+        ``query`` calls; a flat shard still scores each row with its own
+        matrix-vector product, so the scan cost is unchanged and every
+        row matches :meth:`query` exactly.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim == 1:

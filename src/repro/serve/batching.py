@@ -1,9 +1,12 @@
-"""Micro-batching: coalesce concurrent queries into one index pass.
+"""Micro-batching: coalesce concurrent queries into one engine dispatch.
 
 Under concurrency, N in-flight searches arriving within a few
-milliseconds of each other are one matrix-matrix product away from
-being a single unit of work — the flat index scores a whole batch with
-one BLAS call (:meth:`~repro.index.flat.FlatIndex.query_batch`).  The
+milliseconds of each other can share one executor hop, one index lock
+and buffer materialization
+(:meth:`~repro.index.flat.FlatIndex.query_batch`), and one ranking per
+distinct query.  The rows are still scored one matrix-vector product
+each, deliberately: a single matrix-matrix product would make scores
+depend on which queries shared the batch.  The
 :class:`MicroBatcher` trades a bounded latency window (default 2 ms)
 for that coalescing: the first query in a quiet period opens the
 window, every query arriving inside it joins the batch, and the batch

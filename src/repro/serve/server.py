@@ -84,6 +84,19 @@ _LATENCY = {
 _MAX_BODY = 1 << 20  # requests are tiny; anything bigger is abuse
 
 
+def _content_length(value: Optional[str]) -> Optional[int]:
+    """Body length from a ``Content-Length`` value; 0 when absent.
+
+    ``None`` means the value is not a plain run of ASCII digits (empty,
+    signed, or non-numeric), which the caller answers with 400.
+    """
+    if value is None:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return int(value)
+
+
 @dataclass
 class ServeConfig:
     """Knobs for one server instance."""
@@ -231,7 +244,12 @@ class LakeServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length") or 0)
+                length = _content_length(headers.get("content-length"))
+                if length is None:
+                    await self._respond(
+                        writer, 400, {"error": "bad Content-Length"}, False
+                    )
+                    break
                 if length > _MAX_BODY:
                     await self._respond(
                         writer, 400, {"error": "body too large"}, False

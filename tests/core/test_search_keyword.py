@@ -50,6 +50,48 @@ class TestBM25:
         # Repetition should not dominate unboundedly (BM25 saturates).
         assert results["spam"] < results["normal"] * 3
 
+    def test_re_add_replaces_old_text(self):
+        idx = BM25Index()
+        idx.add("d", "alpha beta")
+        idx.add("d", "gamma")
+        assert idx.query("alpha") == []
+        assert idx.query("beta") == []
+        assert [doc for doc, _ in idx.query("gamma")] == ["d"]
+        assert idx._avg_length == 1.0
+        assert len(idx) == 1
+
+    def test_re_add_keeps_other_docs_postings(self):
+        idx = BM25Index()
+        idx.add("a", "alpha beta")
+        idx.add("b", "alpha")
+        idx.add("a", "gamma")
+        assert [doc for doc, _ in idx.query("alpha")] == ["b"]
+        assert idx._avg_length == 1.0
+
+
+class _ReSummingBM25(BM25Index):
+    """The pre-running-total ``add``: re-sums every length per call."""
+
+    def add(self, doc_id, text):
+        super().add(doc_id, text)
+        self._avg_length = sum(self._doc_lengths.values()) / len(self._doc_lengths)
+
+
+class TestIncrementalLengths:
+    def test_running_total_scores_byte_identically(self, lake_bundle):
+        incremental = build_card_index(lake_bundle.lake)
+        reference = _ReSummingBM25()
+        for record in lake_bundle.lake:
+            reference.add(record.model_id, record.card.text())
+        assert incremental._avg_length == reference._avg_length
+        for query in (
+            "legal court statute", "medical notes", "model for text",
+            "recipe oven", "code compiler tokens",
+        ):
+            got = incremental.query(query, k=len(incremental))
+            want = reference.query(query, k=len(reference))
+            assert repr(got) == repr(want)
+
 
 class TestBuildCardIndex:
     def test_indexes_all_models(self, lake_bundle):

@@ -97,6 +97,77 @@ class TestShardedEmbeddingCache:
         ).stat().st_mtime_ns == first_mtime
 
 
+class TestCacheFileLayout:
+    """One ``digests`` array plus one stacked ``vectors`` matrix per file."""
+
+    @pytest.mark.parametrize("prefix_len", [None, 2])
+    def test_round_trip_is_bit_exact(self, tmp_path, prefix_len):
+        rng = np.random.default_rng(0)
+        expected = {
+            f"{index:02x}{index * 7919:08x}": rng.standard_normal(5)
+            for index in range(40)
+        }
+        # Values a lossy round trip would change.
+        expected["ff00000000"] = np.array(
+            [np.pi, -0.0, 1e-308, np.nextafter(1.0, 2.0), 5e-324]
+        )
+        first = EmbeddingCache(str(tmp_path), prefix_len=prefix_len)
+        for digest, vector in expected.items():
+            first.put("space", digest, vector)
+        first.flush()
+        second = EmbeddingCache(str(tmp_path), prefix_len=prefix_len)
+        for digest, vector in expected.items():
+            got = second.get("space", digest)
+            assert got.dtype == np.float64
+            assert got.tobytes() == vector.tobytes(), digest
+
+    def test_file_holds_digests_and_one_matrix(self, tmp_path):
+        cache = EmbeddingCache(str(tmp_path))
+        cache.put("space", "bb", np.full(3, 2.0))
+        cache.put("space", "aa", np.full(3, 1.0))
+        cache.flush()
+        with np.load(tmp_path / "embeddings-space.npz") as archive:
+            assert archive.files == ["digests", "vectors"]
+            assert archive["digests"].tolist() == ["aa", "bb"]
+            assert archive["vectors"].shape == (2, 3)
+            assert archive["vectors"].dtype == np.float64
+
+    def test_old_per_digest_file_is_a_miss_then_rewritten(self, tmp_path):
+        path = tmp_path / "embeddings-space.npz"
+        np.savez(path, aa11=np.ones(2), bb22=np.zeros(2))
+        cache = EmbeddingCache(str(tmp_path))
+        assert cache.get("space", "aa11") is None
+        assert cache.get("space", "bb22") is None
+        cache.put("space", "aa11", np.full(2, 3.0))
+        cache.flush()
+        with np.load(path) as archive:
+            assert archive.files == ["digests", "vectors"]
+            assert archive["digests"].tolist() == ["aa11"]
+        reread = EmbeddingCache(str(tmp_path))
+        assert reread.get("space", "aa11").tolist() == [3.0, 3.0]
+
+    def test_old_layout_lake_cache_rebuilds_once(self, lake_bundle, probes, tmp_path):
+        lake = lake_bundle.lake
+        cache_dir = tmp_path / "cache"
+        cold = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        # Rewrite every cache file in the old one-member-per-digest layout.
+        for path in cache_dir.iterdir():
+            with np.load(path) as archive:
+                old = dict(zip(archive["digests"].tolist(), archive["vectors"]))
+            np.savez(path, **old)
+        loads = obs_metrics.get_registry().counter(LAKE_MODEL_LOADS)
+        before = loads.value
+        rebuilt = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        assert loads.value > before  # old layout misses: models re-embedded
+        before = loads.value
+        warm = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        assert loads.value == before  # rewritten in the new layout: all hits
+        for engine in (rebuilt, warm):
+            assert [tuple(hit) for hit in engine.search("legal contracts", k=5)] == [
+                tuple(hit) for hit in cold.search("legal contracts", k=5)
+            ]
+
+
 class TestSearchEngineCache:
     @pytest.fixture()
     def lake(self, lake_bundle):

@@ -1,5 +1,7 @@
 """HTTP-level tests for the lake server: endpoints, parity, shutdown."""
 
+import json
+import socket
 import threading
 from http.client import HTTPConnection
 
@@ -111,6 +113,25 @@ class TestEndpoints:
                 response.read()
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("value", ["abc", "-5", ""])
+    def test_bad_content_length_is_400_then_close(self, server, value):
+        request = (
+            f"POST /search HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {value}\r\n\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(request)
+            received = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:  # the server closed the connection
+                    break
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), received
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "bad Content-Length"}
 
 
 class TestConcurrency:
