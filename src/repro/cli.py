@@ -214,7 +214,6 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         window=args.window_ms / 1000.0,
         max_batch=args.max_batch,
-        index_backend=args.backend,
     )
 
     def banner(server) -> None:
@@ -704,9 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="micro-batch latency window; 0 disables batching")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="dispatch a batch early once this full")
-    serve.add_argument("--backend", default="flat",
-                       choices=["flat", "hnsw", "sharded"],
-                       help="behavioral index backend")
     serve.set_defaults(func=_cmd_serve)
 
     audit = sub.add_parser("audit", help="audit one model")

@@ -80,14 +80,42 @@ def extract_query_domains(query_text: str) -> List[str]:
     return sorted([d for d, s in hits.items() if s >= max(1, best)])
 
 
+def embedding_index(
+    lake: ModelLake, embedder, cache: Optional[EmbeddingCache] = None
+) -> Tuple[FlatIndex, Dict[str, np.ndarray]]:
+    """One exact index over every lake model's embedding, plus the
+    embeddings by model id.
+
+    Vectors are read from ``cache`` by weight digest; a miss loads and
+    embeds the model and stores the result.  The index is the same on
+    any on-disk layout: sharding is a storage concern, not a search one.
+    """
+    space = embedder.space_key
+    vectors: Dict[str, np.ndarray] = {}
+    for record in lake:
+        vector = (
+            cache.get(space, record.weights_digest)
+            if cache is not None else None
+        )
+        if vector is None:
+            model = lake.get_model(record.model_id, force=True)
+            vector = embedder.embed(model)
+            if cache is not None:
+                cache.put(space, record.weights_digest, vector)
+        vectors[record.model_id] = vector
+    index = FlatIndex()
+    if vectors:
+        index.build(list(vectors), np.stack(list(vectors.values())))
+    return index, vectors
+
+
 class BehavioralSearcher:
     """Behavioral index over a lake with the three query shapes.
 
-    ``index_backend`` selects the ANN structure: ``"flat"`` (exact, the
-    default at laptop scale), ``"hnsw"`` (sublinear, the §5 indexer for
-    large lakes), or ``"sharded"`` (one HNSW graph per weight-digest
-    shard, built via the wave executor and merged deterministically —
-    the out-of-core story for sharded lakes).
+    Every query shape scores against one exact
+    :class:`~repro.index.flat.FlatIndex` of competence profiles, ranked
+    by ``(-score, id)`` — whatever the lake's on-disk layout, since the
+    profiles come from the embedding cache, not from the weight shards.
 
     Profiles are computed in one batch and fed to the index's bulk
     ``build``; a :class:`~repro.index.cache.EmbeddingCache` (keyed by
@@ -99,63 +127,12 @@ class BehavioralSearcher:
         self,
         lake: ModelLake,
         probes: ProbeSet,
-        index_backend: str = "flat",
         cache: Optional[EmbeddingCache] = None,
-        index_workers: int = 1,
     ):
         self.lake = lake
         self.probes = probes
         self.embedder = BehavioralEmbedder(probes)
-        layout = getattr(lake, "storage_layout", None)
-        if index_backend == "flat":
-            self._index = FlatIndex()
-        elif index_backend == "hnsw":
-            from repro.index.hnsw import HNSWIndex
-
-            self._index = HNSWIndex(m=8, ef_construction=64, ef_search=48, seed=0)
-        elif index_backend == "sharded":
-            from repro.index.sharded import ShardedIndex
-
-            self._index = ShardedIndex(
-                backend="hnsw",
-                prefix_len=layout.prefix_len if layout is not None else 2,
-                workers=index_workers,
-                m=8, ef_construction=64, ef_search=48, seed=0,
-            )
-        else:
-            raise ConfigError(
-                f"unknown index_backend {index_backend!r}; "
-                f"expected flat|hnsw|sharded"
-            )
-        self.index_backend = index_backend
-        self._profiles: Dict[str, np.ndarray] = {}
-        space = self.embedder.space_key
-        ids: List[str] = []
-        vectors: List[np.ndarray] = []
-        digests: List[str] = []
-        for record in lake:
-            vector = (
-                cache.get(space, record.weights_digest)
-                if cache is not None else None
-            )
-            if vector is None:
-                model = lake.get_model(record.model_id, force=True)
-                vector = self.embedder.embed(model)
-                if cache is not None:
-                    cache.put(space, record.weights_digest, vector)
-            self._profiles[record.model_id] = vector
-            ids.append(record.model_id)
-            vectors.append(vector)
-            digests.append(record.weights_digest)
-        if ids:
-            if index_backend == "sharded":
-                # Shard keys mirror the lake's on-disk partition, so a
-                # shard's index is built from exactly the blobs that
-                # live together.
-                keys = [d[: self._index.prefix_len] for d in digests]
-                self._index.build(ids, np.stack(vectors), keys=keys)
-            else:
-                self._index.build(ids, np.stack(vectors))
+        self._index, self._profiles = embedding_index(lake, self.embedder, cache)
 
     @property
     def index(self):
@@ -187,7 +164,7 @@ class BehavioralSearcher:
         no domains return ``[]`` exactly as :meth:`search_text` does;
         the rest are stacked into a single profile matrix and passed to
         the index's ``query_batch``.  That saves per-call overhead, not
-        scan work: the flat backend still scores each row with its own
+        scan work: the flat index still scores each row with its own
         matrix-vector product, so every row matches :meth:`search_text`
         bit for bit.
         """

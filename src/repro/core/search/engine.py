@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.search.behavioral import (
     BehavioralSearcher,
     TaskSpec,
+    embedding_index,
     extract_query_domains,
 )
 from repro.core.search.dataset_search import DatasetSearchHit, models_trained_on
@@ -29,8 +30,6 @@ from repro.data.probes import ProbeSet, make_text_probes
 from repro.errors import ConfigError, ModelNotFoundError
 from repro.index.cache import EmbeddingCache
 from repro.index.embedders import WeightStatEmbedder
-from repro.index.flat import FlatIndex
-from repro.index.sharded import ShardedIndex
 from repro.lake.lake import ModelLake
 from repro.nn.module import Module
 from repro.obs import metrics as obs_metrics
@@ -84,10 +83,8 @@ class SearchEngine:
         lake: ModelLake,
         probes: Optional[ProbeSet] = None,
         hybrid_alpha: float = 0.5,
-        index_backend: str = "flat",
         cache_dir: Optional[str] = None,
         cache: Optional[EmbeddingCache] = None,
-        index_workers: int = 1,
     ):
         if not 0.0 <= hybrid_alpha <= 1.0:
             raise ConfigError(f"hybrid_alpha must be in [0, 1], got {hybrid_alpha}")
@@ -105,48 +102,19 @@ class SearchEngine:
                 prefix_len=layout.prefix_len if sharded else None,
             )
         self.cache = cache
-        with trace("search.engine.build", models=len(lake), backend=index_backend):
+        with trace("search.engine.build", models=len(lake)):
             self.keyword_index: BM25Index = build_card_index(lake)
             self.behavioral: BehavioralSearcher = BehavioralSearcher(
-                lake, self.probes, index_backend=index_backend, cache=cache,
-                index_workers=index_workers,
+                lake, self.probes, cache=cache,
             )
             self._weight_embedder = WeightStatEmbedder()
-            space = self._weight_embedder.space_key
-            ids: List[str] = []
-            vectors: List[np.ndarray] = []
-            digests: List[str] = []
-            for record in lake:
-                vector = (
-                    cache.get(space, record.weights_digest)
-                    if cache is not None else None
-                )
-                if vector is None:
-                    model = lake.get_model(record.model_id, force=True)
-                    vector = self._weight_embedder.embed(model)
-                    if cache is not None:
-                        cache.put(space, record.weights_digest, vector)
-                ids.append(record.model_id)
-                vectors.append(vector)
-                digests.append(record.weights_digest)
-            if sharded:
-                # Per-shard exact scans merged by (-score, id): identical
-                # results to one global flat index, built shard-by-shard.
-                self._weight_index = ShardedIndex(
-                    backend="flat", prefix_len=layout.prefix_len,
-                    workers=index_workers,
-                )
-                if ids:
-                    keys = [d[: layout.prefix_len] for d in digests]
-                    self._weight_index.build(ids, np.stack(vectors), keys=keys)
-            else:
-                self._weight_index = FlatIndex()
-                if ids:
-                    self._weight_index.build(ids, np.stack(vectors))
+            self._weight_index, _ = embedding_index(
+                lake, self._weight_embedder, cache
+            )
             if cache is not None:
                 cache.flush()
         obs_metrics.inc(SEARCH_ENGINE_BUILDS)
-        _log.debug("engine.built", models=len(lake), backend=index_backend)
+        _log.debug("engine.built", models=len(lake))
 
     # ------------------------------------------------------------------
     # Text queries

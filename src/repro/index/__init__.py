@@ -13,11 +13,10 @@ from repro.index.flat import FlatIndex
 from repro.index.hnsw import HNSWIndex
 from repro.index.lsh import LSHIndex
 from repro.index.metrics import measure_recall, recall_at_k
-from repro.index.sharded import ShardedIndex
 
 __all__ = [
     "BehavioralEmbedder", "ConcatEmbedder", "EmbeddingCache",
     "MetadataEmbedder", "OutputEmbedder", "WeightStatEmbedder",
     "l2_normalize", "FlatIndex", "HNSWIndex", "LSHIndex",
-    "ShardedIndex", "measure_recall", "recall_at_k",
+    "measure_recall", "recall_at_k",
 ]

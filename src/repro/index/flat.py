@@ -11,11 +11,25 @@ from repro.errors import IndexError_
 from repro.index.embedders import l2_normalize
 
 
+def _id_rank(ids: Sequence[str]) -> np.ndarray:
+    """Each row's position in id order (a stable sort, so repeated ids
+    keep row order) — the integer tie-break key of the ranking."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(ids), dtype=np.int64)
+    return rank
+
+
 class FlatIndex:
     """Exact cosine-similarity search by full scan.
 
-    Serves both as a usable small-lake index and as the ground truth
-    against which approximate indexes (HNSW, LSH) are measured.
+    Serves both as the one index behind lake search and as the ground
+    truth against which approximate indexes (HNSW, LSH) are measured.
+
+    Ranking contract: results order by ``(-score, id)``, so exact ties
+    (duplicate vectors, quantized siblings, indicator task profiles)
+    come back in id order rather than in whatever order a partition
+    left them — identically from ``query`` and ``query_batch``.
 
     Incremental ``add`` calls buffer rows and materialize the matrix
     lazily (one stack per query burst instead of one copy per add);
@@ -35,21 +49,12 @@ class FlatIndex:
         self._vectors: Optional[np.ndarray] = None
         self._pending: List[np.ndarray] = []
         self._id_to_row: Dict[str, int] = {}
+        # Row -> position of its id in sorted id order: the tie-break
+        # key of ``_top_k``, recomputed whenever rows are materialized.
+        self._id_rank: np.ndarray = np.empty(0, dtype=np.int64)
         # One lock serializes buffer mutation and materialization; reads
         # of the sealed matrix happen on a reference captured under the
         # lock, so a concurrent rebuild can never swap it mid-scan.
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        # Locks don't pickle; shard builds ship indexes across process
-        # boundaries.  Seal first so the pickled payload is one matrix.
-        self.seal()
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -74,12 +79,15 @@ class FlatIndex:
             self._id_to_row.setdefault(item_id, len(self._ids))
             self._ids.append(item_id)
 
-    def _materialize_locked(self) -> Tuple[List[str], Optional[np.ndarray]]:
-        """Flush pending rows; returns a consistent (ids, matrix) view.
+    def _materialize_locked(
+        self,
+    ) -> Tuple[List[str], Optional[np.ndarray], np.ndarray]:
+        """Flush pending rows; returns a consistent (ids, matrix, id rank)
+        view.
 
         Must be called with the lock held.  The returned references are
-        safe to use after the lock is released: the matrix is replaced
-        on growth, never mutated in place.
+        safe to use after the lock is released: the matrix and the rank
+        array are replaced on growth, never mutated in place.
         """
         if self._pending:
             block = np.stack(self._pending)
@@ -88,7 +96,8 @@ class FlatIndex:
                 else np.concatenate([self._vectors, block])
             )
             self._pending = []
-        return self._ids[: len(self._ids)], self._vectors
+            self._id_rank = _id_rank(self._ids)
+        return self._ids[: len(self._ids)], self._vectors, self._id_rank
 
     def seal(self) -> None:
         """Flush buffered adds now, so later reads pay no stack."""
@@ -106,32 +115,46 @@ class FlatIndex:
         id_to_row: Dict[str, int] = {}
         for row, item_id in enumerate(ids):
             id_to_row.setdefault(item_id, row)
+        ids = list(ids)
+        id_rank = _id_rank(ids)
         with self._lock:
             self._vectors = normalized
-            self._ids = list(ids)
+            self._ids = ids
             self._pending = []
             self._id_to_row = id_to_row
+            self._id_rank = id_rank
 
     @staticmethod
-    def _top_k(similarities: np.ndarray, k: int) -> np.ndarray:
-        """Row indices of the top-k similarities, best first.
+    def _top_k(
+        similarities: np.ndarray, id_rank: np.ndarray, k: int
+    ) -> np.ndarray:
+        """Row indices of the top-k similarities, ordered by ``(-score, id)``.
 
-        Shared by the single-query and batched paths so both rank one
-        score vector with exactly the same operations.
+        A partition finds the k-th best score; every row scoring at
+        least that much (ties at the boundary included) is then sorted
+        on ``(-score, id rank)``, so which of several tied rows make
+        the cut is decided by id, never by partition order.  Shared by
+        the single-query and batched paths so both rank one score vector
+        with exactly the same operations.
         """
         k = min(k, similarities.shape[0])
-        top = np.argpartition(-similarities, k - 1)[:k]
-        return top[np.argsort(-similarities[top])]
+        if k <= 0:
+            return np.empty(0, dtype=np.int64)
+        negated = -similarities
+        kth = np.partition(negated, k - 1)[k - 1]
+        candidates = np.flatnonzero(negated <= kth)
+        order = np.lexsort((id_rank[candidates], negated[candidates]))
+        return candidates[order[:k]]
 
     def query(self, vector: np.ndarray, k: int = 10) -> List[Tuple[str, float]]:
         """Top-k (id, cosine similarity) pairs, best first."""
         with self._lock:
-            ids, matrix = self._materialize_locked()
+            ids, matrix, id_rank = self._materialize_locked()
         if matrix is None or not ids:
             return []
         vector = l2_normalize(np.asarray(vector, dtype=np.float64))
         similarities = matrix @ vector
-        top = self._top_k(similarities, k)
+        top = self._top_k(similarities, id_rank, k)
         return [(ids[i], float(similarities[i])) for i in top]
 
     def query_batch(
@@ -155,7 +178,7 @@ class FlatIndex:
         if vectors.shape[0] == 0:
             return []
         with self._lock:
-            ids, matrix = self._materialize_locked()
+            ids, matrix, id_rank = self._materialize_locked()
         if matrix is None or not ids:
             return [[] for _ in range(vectors.shape[0])]
         results: List[List[Tuple[str, float]]] = []
@@ -163,7 +186,7 @@ class FlatIndex:
         # query() (see docstring).
         for row in vectors:  # repro: noqa[python-loop-over-array]
             similarities = matrix @ l2_normalize(row)
-            top = self._top_k(similarities, k)
+            top = self._top_k(similarities, id_rank, k)
             results.append([(ids[i], float(similarities[i])) for i in top])
         return results
 
@@ -172,6 +195,6 @@ class FlatIndex:
             row = self._id_to_row.get(item_id)
             if row is None:
                 raise IndexError_(f"id not in index: {item_id!r}")
-            _, matrix = self._materialize_locked()
+            _, matrix, _ = self._materialize_locked()
         assert matrix is not None
         return matrix[row]

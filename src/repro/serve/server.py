@@ -82,6 +82,54 @@ _LATENCY = {
 }
 
 _MAX_BODY = 1 << 20  # requests are tiny; anything bigger is abuse
+_MAX_HEADERS = 100  # clients send a handful; an unbounded run is abuse
+
+
+class _BadRequest(Exception):
+    """A request the front end answers with 400 and a close."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:
+        # The line outgrew the StreamReader limit before its newline.
+        raise _BadRequest("line too long") from None
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, str, Dict[str, str], bytes]]:
+    """One request as ``(method, target, version, headers, body)``.
+
+    ``None`` means the client closed the connection between requests;
+    :class:`_BadRequest` means a malformed or oversized request.
+    """
+    request_line = await _read_line(reader)
+    if not request_line:
+        return None
+    parts = request_line.decode("latin-1").strip().split()
+    if len(parts) != 3:
+        raise _BadRequest("malformed request line")
+    headers: Dict[str, str] = {}
+    count = 0
+    while True:
+        line = await _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        count += 1
+        if count > _MAX_HEADERS:
+            raise _BadRequest("too many headers")
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = _content_length(headers.get("content-length"))
+    if length is None:
+        raise _BadRequest("bad Content-Length")
+    if length > _MAX_BODY:
+        raise _BadRequest("body too large")
+    body = await reader.readexactly(length) if length else b""
+    http_method, target, version = parts
+    return http_method, target, version, headers, body
 
 
 def _content_length(value: Optional[str]) -> Optional[int]:
@@ -108,7 +156,6 @@ class ServeConfig:
     #: Micro-batch latency window in seconds; 0 = per-request dispatch.
     window: float = 0.002
     max_batch: int = 64
-    index_backend: str = "flat"
 
 
 class LakeServer:
@@ -227,35 +274,14 @@ class LakeServer:
         self._connections.add(writer)
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
+                try:
+                    request = await _read_request(reader)
+                except _BadRequest as exc:
+                    await self._respond(writer, 400, {"error": str(exc)}, False)
                     break
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
-                    await self._respond(
-                        writer, 400, {"error": "malformed request line"}, False
-                    )
+                if request is None:
                     break
-                http_method, target, version = parts
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                length = _content_length(headers.get("content-length"))
-                if length is None:
-                    await self._respond(
-                        writer, 400, {"error": "bad Content-Length"}, False
-                    )
-                    break
-                if length > _MAX_BODY:
-                    await self._respond(
-                        writer, 400, {"error": "body too large"}, False
-                    )
-                    break
-                body = await reader.readexactly(length) if length else b""
+                http_method, target, version, headers, body = request
                 keep_alive = (
                     version == "HTTP/1.1"
                     and headers.get("connection", "").lower() != "close"
@@ -465,10 +491,6 @@ def run_server(config: ServeConfig, ready=None) -> int:
     ``ready`` (for the CLI banner and tests) receives the started
     :class:`LakeServer` before the loop parks on the shutdown signal.
     """
-    snapshot = LakeSnapshot.open(
-        config.directory,
-        index_backend=config.index_backend,
-        index_workers=config.workers,
-    )
+    snapshot = LakeSnapshot.open(config.directory)
     server = LakeServer(snapshot, config)
     return asyncio.run(_serve(server, ready=ready))

@@ -46,25 +46,15 @@ class LakeSnapshot:
         self._closed = False
 
     @classmethod
-    def open(
-        cls,
-        directory: str,
-        index_backend: str = "flat",
-        index_workers: int = 1,
-    ) -> "LakeSnapshot":
+    def open(cls, directory: str) -> "LakeSnapshot":
         """Open ``directory`` read-only and build the search engine."""
         lake = load_lake(directory, materialize=False)
         engine = SearchEngine(
             lake,
             make_text_probes(),
-            index_backend=index_backend,
             cache_dir=os.path.join(directory, "cache"),
-            index_workers=index_workers,
         )
-        _log.info(
-            "snapshot.opened", directory=directory, models=len(lake),
-            backend=index_backend,
-        )
+        _log.info("snapshot.opened", directory=directory, models=len(lake))
         return cls(directory, lake, engine)
 
     @property

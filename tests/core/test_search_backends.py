@@ -1,42 +1,15 @@
-"""Tests for the HNSW and sharded search-engine backends."""
+"""Tests that a sharded on-disk layout leaves search results unchanged."""
 
 import pytest
 
 from repro.core.search import SearchEngine
-from repro.errors import ConfigError
-from repro.index import FlatIndex, ShardedIndex
 from repro.lake import load_lake, save_lake
 
 
-class TestIndexBackends:
-    def test_hnsw_backend_builds(self, lake_bundle, probes):
-        engine = SearchEngine(lake_bundle.lake, probes, index_backend="hnsw")
-        assert engine.behavioral.index_backend == "hnsw"
-
-    def test_backends_agree_on_top_results(self, lake_bundle, probes):
-        flat = SearchEngine(lake_bundle.lake, probes, index_backend="flat")
-        hnsw = SearchEngine(lake_bundle.lake, probes, index_backend="hnsw")
-        query = "summarize legal court documents"
-        flat_ids = [h.model_id for h in flat.search(query, k=3, method="behavioral")]
-        hnsw_ids = [h.model_id for h in hnsw.search(query, k=3, method="behavioral")]
-        # Approximate index: at least 2 of the exact top-3 must be found.
-        assert len(set(flat_ids) & set(hnsw_ids)) >= 2
-
-    def test_unknown_backend_rejected(self, lake_bundle, probes):
-        with pytest.raises(ConfigError):
-            SearchEngine(lake_bundle.lake, probes, index_backend="btree")
-
-    def test_related_models_with_hnsw(self, lake_bundle, probes):
-        engine = SearchEngine(lake_bundle.lake, probes, index_backend="hnsw")
-        foundation = lake_bundle.truth.foundations[0]
-        hits = engine.related_models(foundation, k=3)
-        assert len(hits) == 3
-        assert all(h.model_id != foundation for h in hits)
-
-
 class TestShardedLakeEngine:
-    """The engine follows the lake's storage layout: a loaded sharded
-    lake gets shard-partitioned indexes, without changing any result."""
+    """Sharding is a storage concern: a loaded sharded lake is searched
+    through the same single exact index as an in-memory one, so ids and
+    scores agree bit for bit."""
 
     @pytest.fixture(scope="class")
     def sharded_lake(self, lake_bundle, tmp_path_factory):
@@ -44,27 +17,25 @@ class TestShardedLakeEngine:
         save_lake(lake_bundle.lake, directory, sharded=True)
         return load_lake(directory)
 
-    def test_weight_index_shards_with_the_lake(self, lake_bundle, probes, sharded_lake):
-        flat_engine = SearchEngine(lake_bundle.lake, probes)
-        shard_engine = SearchEngine(sharded_lake, probes)
-        assert isinstance(flat_engine._weight_index, FlatIndex)
-        assert isinstance(shard_engine._weight_index, ShardedIndex)
-
     def test_weight_view_parity_with_flat_engine(self, lake_bundle, probes, sharded_lake):
         flat_engine = SearchEngine(lake_bundle.lake, probes)
         shard_engine = SearchEngine(sharded_lake, probes)
         anchor = lake_bundle.truth.foundations[0]
         flat_hits = flat_engine.related_models(anchor, k=4, view="weight")
         shard_hits = shard_engine.related_models(anchor, k=4, view="weight")
-        # Per-shard exact scans merge to the same total order as one
-        # global flat index — same ids, same scores.
         assert [h.model_id for h in shard_hits] == [h.model_id for h in flat_hits]
-        assert [round(h.score, 10) for h in shard_hits] == [
-            round(h.score, 10) for h in flat_hits
-        ]
+        assert [h.score for h in shard_hits] == [h.score for h in flat_hits]
 
-    def test_sharded_behavioral_backend_over_loaded_lake(self, probes, sharded_lake):
-        engine = SearchEngine(sharded_lake, probes, index_backend="sharded")
-        assert engine.behavioral.index_backend == "sharded"
-        hits = engine.search("summarize legal court documents", k=3, method="behavioral")
-        assert len(hits) == 3
+    def test_behavioral_view_parity_with_flat_engine(
+        self, lake_bundle, probes, sharded_lake
+    ):
+        flat_engine = SearchEngine(lake_bundle.lake, probes)
+        shard_engine = SearchEngine(sharded_lake, probes)
+        anchor = lake_bundle.truth.foundations[0]
+        flat_related = flat_engine.related_models(anchor, k=4)
+        shard_related = shard_engine.related_models(anchor, k=4)
+        assert [tuple(h) for h in shard_related] == [tuple(h) for h in flat_related]
+        query = "summarize legal court documents"
+        flat_hits = flat_engine.search(query, k=5, method="behavioral")
+        shard_hits = shard_engine.search(query, k=5, method="behavioral")
+        assert [tuple(h) for h in shard_hits] == [tuple(h) for h in flat_hits]

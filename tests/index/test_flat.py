@@ -192,17 +192,3 @@ class TestFlatIndexConsistency:
         assert not errors
         assert len(index) == 1 + 4 * 25
         assert len(index.query(probe, k=1000)) == 1 + 4 * 25
-
-    def test_pickle_roundtrip_preserves_results(self):
-        """Shard builds ship indexes across process boundaries."""
-        import pickle
-
-        rng = np.random.default_rng(7)
-        index = FlatIndex()
-        index.build([f"m{i}" for i in range(10)], rng.normal(size=(10, 8)))
-        index.add("extra", rng.normal(size=8))
-        clone = pickle.loads(pickle.dumps(index))
-        probe = rng.normal(size=8)
-        assert clone.query(probe, k=5) == index.query(probe, k=5)
-        clone.add("post-clone", rng.normal(size=8))  # lock was restored
-        assert len(clone.query(probe, k=100)) == 12

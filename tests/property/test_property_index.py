@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import FlatIndex, HNSWIndex
+from repro.index import FlatIndex, HNSWIndex, l2_normalize
 
 
 def vectors_strategy(n_min=2, n_max=20, dim=6):
@@ -50,6 +50,73 @@ class TestFlatIndexProperties:
         results = index.query(vectors[0], k=len(vectors))
         scores = [s for _, s in results]
         assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
+
+
+@st.composite
+def tied_index_strategy(draw):
+    """Rows with forced exact duplicates under shuffled ids.
+
+    A few distinct base vectors are each repeated, so whole groups of
+    rows score identically against any query; ids are a random
+    permutation, so id order is unrelated to row order.
+    """
+    dim = 4
+    bases = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        .filter(any),
+        min_size=1, max_size=4,
+    ))
+    counts = draw(st.lists(
+        st.integers(1, 5), min_size=len(bases), max_size=len(bases)
+    ))
+    rows = [base for base, count in zip(bases, counts) for _ in range(count)]
+    order = draw(st.permutations(range(len(rows))))
+    vectors = np.array([rows[i] for i in order], dtype=np.float64)
+    ids = draw(st.permutations([f"m{i:02d}" for i in range(len(rows))]))
+    queries = np.array(draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        .filter(any),
+        min_size=1, max_size=3,
+    )), dtype=np.float64)
+    k = draw(st.integers(1, len(rows) + 2))
+    return list(ids), vectors, queries, k
+
+
+class TestFlatIndexTies:
+    """Exact ties rank by id, in ``query`` and ``query_batch`` alike."""
+
+    @given(tied_index_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_query_and_batch_match_brute_force_reference(self, case):
+        ids, vectors, queries, k = case
+        index = FlatIndex()
+        index.build(ids, vectors)
+        normalized = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+        references = []
+        for query in queries:
+            scores = normalized @ l2_normalize(query)
+            references.append(sorted(
+                zip(ids, scores.tolist()), key=lambda hit: (-hit[1], hit[0])
+            )[:k])
+        assert [index.query(query, k=k) for query in queries] == references
+        assert index.query_batch(queries, k=k) == references
+
+    @given(tied_index_strategy())
+    @settings(max_examples=40, deadline=None)
+    def test_every_k_cuts_the_full_ranking(self, case):
+        """Each k, below, inside and above every tie group, returns a
+        prefix of the full ranking; a cut inside a group keeps the
+        group's smallest ids."""
+        ids, vectors, queries, _ = case
+        index = FlatIndex()
+        index.build(ids, vectors)
+        query = queries[0]
+        full = index.query(query, k=len(ids))
+        top_group = [item_id for item_id, score in full if score == full[0][1]]
+        assert top_group == sorted(top_group)
+        for k in range(1, len(ids) + 1):
+            assert index.query(query, k=k) == full[:k]
+            assert index.query_batch(query[None, :], k=k) == [full[:k]]
 
 
 class TestHNSWProperties:

@@ -7,6 +7,23 @@ from http.client import HTTPConnection
 
 import pytest
 
+#: asyncio's default StreamReader limit: the longest line it will read.
+_STREAM_LIMIT = 64 * 1024
+
+
+def _raw_exchange(port: int, request: bytes):
+    """Send raw bytes, read until the server closes; (head, body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        received = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:  # the server closed the connection
+                break
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    return head, body
+
 
 class TestEndpoints:
     def test_healthz(self, server):
@@ -120,18 +137,35 @@ class TestEndpoints:
             f"POST /search HTTP/1.1\r\nHost: x\r\n"
             f"Content-Length: {value}\r\n\r\n"
         ).encode("latin-1")
-        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
-            sock.sendall(request)
-            received = b""
-            while True:
-                chunk = sock.recv(4096)
-                if not chunk:  # the server closed the connection
-                    break
-                received += chunk
-        head, _, body = received.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 "), received
+        head, body = _raw_exchange(server.port, request)
+        assert head.startswith(b"HTTP/1.1 400 "), head
         assert b"Connection: close" in head
         assert json.loads(body) == {"error": "bad Content-Length"}
+
+    @pytest.mark.parametrize("where", ["request_line", "header_line"])
+    def test_overlong_line_is_400_then_close(self, server, where):
+        filler = "a" * (_STREAM_LIMIT + 1024)
+        if where == "request_line":
+            request = f"GET /{filler} HTTP/1.1\r\nHost: x\r\n\r\n"
+        else:
+            request = f"GET /healthz HTTP/1.1\r\nX-Filler: {filler}\r\n\r\n"
+        head, body = _raw_exchange(server.port, request.encode("latin-1"))
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "line too long"}
+
+    @pytest.mark.parametrize("count,status", [(100, 200), (101, 400)])
+    def test_header_count_is_capped(self, server, count, status):
+        headers = "".join(f"X-H{i}: v\r\n" for i in range(count))
+        request = f"GET /healthz HTTP/1.1\r\n{headers}Connection: close\r\n\r\n"
+        if count == 100:
+            # Connection: close is itself a header; stay at the cap.
+            request = request.replace("X-H0: v\r\n", "")
+        head, body = _raw_exchange(server.port, request.encode("latin-1"))
+        assert head.startswith(f"HTTP/1.1 {status} ".encode()), head
+        assert b"Connection: close" in head
+        if status == 400:
+            assert json.loads(body) == {"error": "too many headers"}
 
 
 class TestConcurrency:
