@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.errors import ModelNotFoundError
 from repro.lake.lake import ModelLake
 from repro.transforms.base import TransformRecord
@@ -25,6 +23,11 @@ class VersionGraph:
     """
 
     def __init__(self) -> None:
+        # networkx is imported inside each function that uses it: it
+        # costs ~18 MiB and ~0.2 s to import, and only version-graph
+        # algorithms need it, so the search and serve path never load it.
+        import networkx as nx
+
         self._graph = nx.DiGraph()
 
     # -- construction ------------------------------------------------------
@@ -94,10 +97,14 @@ class VersionGraph:
         return list(self._graph.successors(model_id))
 
     def ancestors(self, model_id: str) -> Set[str]:
+        import networkx as nx
+
         self._require(model_id)
         return set(nx.ancestors(self._graph, model_id))
 
     def descendants(self, model_id: str) -> Set[str]:
+        import networkx as nx
+
         self._require(model_id)
         return set(nx.descendants(self._graph, model_id))
 
@@ -123,6 +130,8 @@ class VersionGraph:
             seen.add(current)
 
     def lineage_path(self, ancestor: str, descendant: str) -> Optional[List[str]]:
+        import networkx as nx
+
         self._require(ancestor)
         self._require(descendant)
         try:
@@ -136,6 +145,8 @@ class VersionGraph:
 
     def is_version_of(self, first: str, second: str) -> bool:
         """True if the two models share any lineage (either direction)."""
+        import networkx as nx
+
         self._require(first)
         self._require(second)
         undirected = self._graph.to_undirected(as_view=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.versioning.classify import classify_transform, looks_like_merge
@@ -194,6 +193,8 @@ def _recover_cluster(
     graph: VersionGraph,
     config: RecoveryConfig,
 ) -> None:
+    import networkx as nx  # deferred: see VersionGraph.__init__
+
     distances: Dict[Tuple[str, str], float] = {}
     for i, a in enumerate(cluster):
         for b in cluster[i + 1 :]:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections import Counter
 from dataclasses import asdict
 from typing import Dict, Optional
 
@@ -219,15 +220,14 @@ def save_lake(
             "meta": to_jsonable(dataset.meta),
         })
 
-    lineage = []
-    for digest in lake.datasets.digests():
-        for child in lake.datasets.children(digest):
-            data = lake.datasets._lineage.get_edge_data(digest, child) or {}
-            lineage.append({
-                "source": digest, "target": child,
-                "operation": data.get("operation"),
-                "params": to_jsonable(data.get("params") or {}),
-            })
+    lineage = [
+        {
+            "source": source, "target": target,
+            "operation": attrs["operation"],
+            "params": to_jsonable(attrs["params"]),
+        }
+        for source, target, attrs in lake.datasets.lineage_edges()
+    ]
 
     # Lineage before manifest: the manifest's integrity section pins the
     # lineage bytes, so a crash between the two cannot leave a committed
@@ -281,10 +281,9 @@ def _load_datasets(lake: ModelLake, directory: str, manifest: Dict) -> None:
     if os.path.exists(lineage_path):
         with open(lineage_path) as handle:
             for edge in json.load(handle):
-                lake.datasets._lineage.add_edge(
+                lake.datasets.add_lineage_edge(
                     edge["source"], edge["target"],
-                    operation=edge.get("operation"),
-                    params=dict(edge.get("params") or {}),
+                    edge.get("operation"), edge.get("params"),
                 )
 
 
@@ -297,7 +296,9 @@ def _check_clock(lake: ModelLake, manifest: Dict) -> None:
     # citation ordering.
     created = [entry["created_at"] for entry in manifest["records"]]
     if len(set(created)) != len(created):
-        duplicates = sorted({c for c in created if created.count(c) > 1})
+        duplicates = sorted(
+            value for value, count in Counter(created).items() if count > 1
+        )
         raise LakeError(
             f"manifest is not clock-monotonic: duplicate created_at "
             f"value(s) {duplicates} across records"

@@ -69,6 +69,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -83,10 +84,23 @@ _LATENCY = {
 
 _MAX_BODY = 1 << 20  # requests are tiny; anything bigger is abuse
 _MAX_HEADERS = 100  # clients send a handful; an unbounded run is abuse
+#: Seconds a started request (its request line has arrived) has to
+#: deliver its headers and body; past it the server answers 408 and
+#: closes.  The idle wait for the next request line on a keep-alive
+#: connection has no deadline.
+_REQUEST_DEADLINE_S = 10.0
 
 
 class _BadRequest(Exception):
-    """A request the front end answers with 400 and a close."""
+    """A request the front end answers with ``status`` and a close."""
+
+    status = 400
+
+
+class _RequestTimeout(_BadRequest):
+    """Headers and body did not arrive within the request deadline."""
+
+    status = 408
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
@@ -103,7 +117,9 @@ async def _read_request(
     """One request as ``(method, target, version, headers, body)``.
 
     ``None`` means the client closed the connection between requests;
-    :class:`_BadRequest` means a malformed or oversized request.
+    :class:`_BadRequest` means a malformed or oversized request, and
+    :class:`_RequestTimeout` one whose headers and body outlasted
+    :data:`_REQUEST_DEADLINE_S`.
     """
     request_line = await _read_line(reader)
     if not request_line:
@@ -111,6 +127,20 @@ async def _read_request(
     parts = request_line.decode("latin-1").strip().split()
     if len(parts) != 3:
         raise _BadRequest("malformed request line")
+    # ``asyncio.timeout``, not ``wait_for``: wait_for runs the read in a
+    # new task, which costs every request extra event-loop rounds.
+    try:
+        async with asyncio.timeout(_REQUEST_DEADLINE_S):
+            headers, body = await _read_headers_and_body(reader)
+    except TimeoutError:
+        raise _RequestTimeout("request not received in time") from None
+    http_method, target, version = parts
+    return http_method, target, version, headers, body
+
+
+async def _read_headers_and_body(
+    reader: asyncio.StreamReader,
+) -> Tuple[Dict[str, str], bytes]:
     headers: Dict[str, str] = {}
     count = 0
     while True:
@@ -128,8 +158,7 @@ async def _read_request(
     if length > _MAX_BODY:
         raise _BadRequest("body too large")
     body = await reader.readexactly(length) if length else b""
-    http_method, target, version = parts
-    return http_method, target, version, headers, body
+    return headers, body
 
 
 def _content_length(value: Optional[str]) -> Optional[int]:
@@ -277,7 +306,9 @@ class LakeServer:
                 try:
                     request = await _read_request(reader)
                 except _BadRequest as exc:
-                    await self._respond(writer, 400, {"error": str(exc)}, False)
+                    await self._respond(
+                        writer, exc.status, {"error": str(exc)}, False
+                    )
                     break
                 if request is None:
                     break

@@ -80,6 +80,24 @@ class TestClockRoundTrip:
         with pytest.raises(LakeError, match="clock-monotonic"):
             load_lake(str(tmp_path))
 
+    def test_duplicate_report_lists_each_repeated_value_once(self, tmp_path):
+        lake = _build_lake(num_models=5, clock_bumps=0)
+        save_lake(lake, str(tmp_path))
+        manifest_path = os.path.join(str(tmp_path), "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        stamps = [entry["created_at"] for entry in manifest["records"]]
+        # Two duplicated values: stamps[0] twice and stamps[2] three times.
+        manifest["records"][1]["created_at"] = stamps[0]
+        manifest["records"][3]["created_at"] = stamps[2]
+        manifest["records"][4]["created_at"] = stamps[2]
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(LakeError) as caught:
+            load_lake(str(tmp_path))
+        expected = sorted([stamps[0], stamps[2]])
+        assert f"duplicate created_at value(s) {expected} across" in str(caught.value)
+
 
 @given(
     num_models=st.integers(min_value=1, max_value=4),

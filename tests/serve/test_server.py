@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -166,6 +167,38 @@ class TestEndpoints:
         assert b"Connection: close" in head
         if status == 400:
             assert json.loads(body) == {"error": "too many headers"}
+
+
+class TestRequestDeadline:
+    DEADLINE = 0.3
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "_REQUEST_DEADLINE_S", self.DEADLINE)
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\n",  # headers never end
+        b"POST /search HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"q\"",  # short body
+    ])
+    def test_stalled_request_is_408_then_close(self, server, request_bytes):
+        head, body = _raw_exchange(server.port, request_bytes)
+        assert head.startswith(b"HTTP/1.1 408 Request Timeout"), head
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "request not received in time"}
+
+    def test_idle_keep_alive_connection_is_not_timed_out(self, server):
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            for _ in range(2):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                time.sleep(3 * self.DEADLINE)  # idle between requests
+        finally:
+            conn.close()
 
 
 class TestConcurrency:
