@@ -58,26 +58,42 @@ def task_profile_vector(probes: ProbeSet, target_domains: Sequence[str]) -> np.n
     return l2_normalize(vector)
 
 
+def _domain_evidence() -> Dict[str, Tuple[Tuple[str, int], ...]]:
+    """Word -> ((domain, points the word scores for it), ...).
+
+    A domain's own name scores 3 and each of its distinct content words
+    1; a word in several domains' vocabularies scores for each.
+    """
+    evidence: Dict[str, Dict[str, int]] = {}
+    for name in DOMAIN_NAMES:
+        points = evidence.setdefault(name, {})
+        points[name] = points.get(name, 0) + 3
+        for word in set(get_domain(name).content_words()):
+            points = evidence.setdefault(word, {})
+            points[name] = points.get(name, 0) + 1
+    return {word: tuple(points.items()) for word, points in evidence.items()}
+
+
+#: Built once: the domain table is fixed when :mod:`repro.data.domains`
+#: is imported.
+_DOMAIN_EVIDENCE = _domain_evidence()
+
+
 def extract_query_domains(query_text: str) -> List[str]:
     """Map free text to the domains whose vocabulary it mentions.
 
     Domain names themselves and any domain content word count as
-    evidence; ties are broken toward domains with more hits.
+    evidence (each distinct query word once); the domains with the most
+    evidence are returned, sorted by name.
     """
-    tokens = set(simple_tokenize(query_text))
     hits: Dict[str, int] = {}
-    for name in DOMAIN_NAMES:
-        domain = get_domain(name)
-        score = 0
-        if name in tokens:
-            score += 3
-        score += len(tokens.intersection(domain.content_words()))
-        if score > 0:
-            hits[name] = score
+    for token in set(simple_tokenize(query_text)):
+        for name, points in _DOMAIN_EVIDENCE.get(token, ()):
+            hits[name] = hits.get(name, 0) + points
     if not hits:
         return []
     best = max(hits.values())
-    return sorted([d for d, s in hits.items() if s >= max(1, best)])
+    return sorted(name for name, score in hits.items() if score == best)
 
 
 def embedding_index(

@@ -91,16 +91,11 @@ class SearchEngine:
         self.lake = lake
         self.probes = probes or make_text_probes()
         self.hybrid_alpha = hybrid_alpha
-        # On a sharded lake the embedding cache shards by the same digest
-        # prefix as the weight store, so a rebuild only opens the cache
-        # shards it actually touches.
-        layout = getattr(lake, "storage_layout", None)
-        sharded = layout is not None and layout.sharded
+        # One cache file per embedding space on every lake layout: warm
+        # start reads every cached vector anyway, so splitting the cache
+        # like the weight store would only multiply file opens.
         if cache is None and cache_dir is not None:
-            cache = EmbeddingCache(
-                cache_dir,
-                prefix_len=layout.prefix_len if sharded else None,
-            )
+            cache = EmbeddingCache(cache_dir)
         self.cache = cache
         with trace("search.engine.build", models=len(lake)):
             self.keyword_index: BM25Index = build_card_index(lake)

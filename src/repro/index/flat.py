@@ -11,13 +11,33 @@ from repro.errors import IndexError_
 from repro.index.embedders import l2_normalize
 
 
-def _id_rank(ids: Sequence[str]) -> np.ndarray:
+def id_ranks(ids: Sequence[str]) -> np.ndarray:
     """Each row's position in id order (a stable sort, so repeated ids
     keep row order) — the integer tie-break key of the ranking."""
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), dtype=np.int64)
     rank[order] = np.arange(len(ids), dtype=np.int64)
     return rank
+
+
+def top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the top-k ``scores``, ordered by ``(-score, id)``.
+
+    A partition finds the k-th best score; every position scoring at
+    least that much (ties at the boundary included) is then sorted on
+    ``(-score, id rank)``, so which of several tied positions make the
+    cut is decided by id, never by partition order.  Every ranked path
+    (single-query and batched scans, BM25) ranks with exactly these
+    operations.
+    """
+    k = min(k, scores.shape[0])
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    negated = -scores
+    kth = np.partition(negated, k - 1)[k - 1]
+    candidates = np.flatnonzero(negated <= kth)
+    order = np.lexsort((id_rank[candidates], negated[candidates]))
+    return candidates[order[:k]]
 
 
 class FlatIndex:
@@ -50,7 +70,7 @@ class FlatIndex:
         self._pending: List[np.ndarray] = []
         self._id_to_row: Dict[str, int] = {}
         # Row -> position of its id in sorted id order: the tie-break
-        # key of ``_top_k``, recomputed whenever rows are materialized.
+        # key of :func:`top_k`, recomputed whenever rows are materialized.
         self._id_rank: np.ndarray = np.empty(0, dtype=np.int64)
         # One lock serializes buffer mutation and materialization; reads
         # of the sealed matrix happen on a reference captured under the
@@ -96,7 +116,7 @@ class FlatIndex:
                 else np.concatenate([self._vectors, block])
             )
             self._pending = []
-            self._id_rank = _id_rank(self._ids)
+            self._id_rank = id_ranks(self._ids)
         return self._ids[: len(self._ids)], self._vectors, self._id_rank
 
     def seal(self) -> None:
@@ -116,35 +136,13 @@ class FlatIndex:
         for row, item_id in enumerate(ids):
             id_to_row.setdefault(item_id, row)
         ids = list(ids)
-        id_rank = _id_rank(ids)
+        id_rank = id_ranks(ids)
         with self._lock:
             self._vectors = normalized
             self._ids = ids
             self._pending = []
             self._id_to_row = id_to_row
             self._id_rank = id_rank
-
-    @staticmethod
-    def _top_k(
-        similarities: np.ndarray, id_rank: np.ndarray, k: int
-    ) -> np.ndarray:
-        """Row indices of the top-k similarities, ordered by ``(-score, id)``.
-
-        A partition finds the k-th best score; every row scoring at
-        least that much (ties at the boundary included) is then sorted
-        on ``(-score, id rank)``, so which of several tied rows make
-        the cut is decided by id, never by partition order.  Shared by
-        the single-query and batched paths so both rank one score vector
-        with exactly the same operations.
-        """
-        k = min(k, similarities.shape[0])
-        if k <= 0:
-            return np.empty(0, dtype=np.int64)
-        negated = -similarities
-        kth = np.partition(negated, k - 1)[k - 1]
-        candidates = np.flatnonzero(negated <= kth)
-        order = np.lexsort((id_rank[candidates], negated[candidates]))
-        return candidates[order[:k]]
 
     def query(self, vector: np.ndarray, k: int = 10) -> List[Tuple[str, float]]:
         """Top-k (id, cosine similarity) pairs, best first."""
@@ -154,7 +152,7 @@ class FlatIndex:
             return []
         vector = l2_normalize(np.asarray(vector, dtype=np.float64))
         similarities = matrix @ vector
-        top = self._top_k(similarities, id_rank, k)
+        top = top_k(similarities, id_rank, k)
         return [(ids[i], float(similarities[i])) for i in top]
 
     def query_batch(
@@ -186,7 +184,7 @@ class FlatIndex:
         # query() (see docstring).
         for row in vectors:  # repro: noqa[python-loop-over-array]
             similarities = matrix @ l2_normalize(row)
-            top = self._top_k(similarities, id_rank, k)
+            top = top_k(similarities, id_rank, k)
             results.append([(ids[i], float(similarities[i])) for i in top])
         return results
 

@@ -31,6 +31,10 @@ from repro.obs.instrument import LAKE_MODEL_LOADS, LAKE_MODELS_ADDED
 from repro.obs.tracing import trace
 from repro.utils.hashing import combine_digests, stable_hash
 
+# Resolved once at import (registry.reset() zeroes it in place): a lake
+# open registers every record, so a per-call lookup would scale with it.
+_models_added_counter = obs_metrics.get_registry().counter(LAKE_MODELS_ADDED)
+
 
 class ModelLake:
     """A population of registered models plus their related data.
@@ -92,7 +96,7 @@ class ModelLake:
                 tags=list(tags or []),
             )
             self._records[model_id] = record
-            obs_metrics.inc(LAKE_MODELS_ADDED)
+            _models_added_counter.inc()
             return record
 
     def register_record(self, record: ModelRecord) -> None:
@@ -110,7 +114,7 @@ class ModelLake:
                 f"model id already registered: {record.model_id!r}"
             )
         self._records[record.model_id] = record
-        obs_metrics.inc(LAKE_MODELS_ADDED)
+        _models_added_counter.inc()
 
     # ------------------------------------------------------------------
     # Access (with viewpoint visibility rules)

@@ -174,6 +174,23 @@ def _content_length(value: Optional[str]) -> Optional[int]:
     return int(value)
 
 
+def _parse_k(value: Any) -> Optional[int]:
+    """``k`` from a query-string value or a JSON number; None if invalid.
+
+    Strings go through ``int``; from JSON only a true integer is
+    accepted, so floats (``2.7``, ``1e400``) and booleans are rejected
+    instead of being truncated.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            return None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return None
+
+
 @dataclass
 class ServeConfig:
     """Knobs for one server instance."""
@@ -434,15 +451,20 @@ class LakeServer:
         }
         if http_method == "POST" and body:
             try:
-                params.update(json.loads(body.decode()))
+                payload = json.loads(body.decode())
             except (ValueError, UnicodeDecodeError):
                 return 400, {"error": "body is not valid JSON"}
-        query = str(params.get("q") or params.get("query") or "").strip()
+            if not isinstance(payload, dict):
+                return 400, {"error": "body must be a JSON object"}
+            params.update(payload)
+        query = params.get("q") or params.get("query") or ""
+        if not isinstance(query, str):
+            return 400, {"error": "q must be a string"}
+        query = query.strip()
         if not query:
             return 400, {"error": "missing query parameter 'q'"}
-        try:
-            k = int(params.get("k", 10))
-        except (TypeError, ValueError):
+        k = _parse_k(params.get("k", 10))
+        if k is None:
             return 400, {"error": f"k must be an integer, got {params.get('k')!r}"}
         if k < 1:
             return 400, {"error": f"k must be >= 1, got {k}"}

@@ -1,7 +1,11 @@
 """Tests for behavioral (content-based) model search."""
 
+from typing import Dict, List
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.search import (
     BehavioralSearcher,
@@ -9,12 +13,38 @@ from repro.core.search import (
     extract_query_domains,
     task_profile_vector,
 )
+from repro.data.domains import DOMAIN_NAMES, get_domain
 from repro.errors import ConfigError
+from repro.utils.text import simple_tokenize
 
 
 @pytest.fixture(scope="module")
 def searcher(lake_bundle, probes):
     return BehavioralSearcher(lake_bundle.lake, probes)
+
+
+def _scan_query_domains(query_text: str) -> List[str]:
+    """Reference: intersect the query with every domain's vocabulary."""
+    tokens = set(simple_tokenize(query_text))
+    hits: Dict[str, int] = {}
+    for name in DOMAIN_NAMES:
+        score = 3 if name in tokens else 0
+        score += len(tokens.intersection(get_domain(name).content_words()))
+        if score > 0:
+            hits[name] = score
+    if not hits:
+        return []
+    best = max(hits.values())
+    return sorted([d for d, s in hits.items() if s >= max(1, best)])
+
+
+_query_words = st.one_of(
+    st.sampled_from(DOMAIN_NAMES),
+    st.sampled_from(sorted({
+        word for name in DOMAIN_NAMES for word in get_domain(name).content_words()
+    })),
+    st.sampled_from(["the", "model", "LEGAL", "zzz", "find"]),
+)
 
 
 class TestQueryDomainExtraction:
@@ -31,6 +61,12 @@ class TestQueryDomainExtraction:
 
     def test_no_hit(self):
         assert extract_query_domains("zzz qqq xyzzy") == []
+
+    @given(st.lists(_query_words, max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_domain_intersection(self, words):
+        query = " ".join(words)
+        assert extract_query_domains(query) == _scan_query_domains(query)
 
 
 class TestTaskProfileVector:

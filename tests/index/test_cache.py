@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.search import SearchEngine
 from repro.index import EmbeddingCache
+from repro.lake import load_lake, save_lake
 from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import (
     EMBED_CACHE_HITS,
@@ -54,54 +55,10 @@ class TestEmbeddingCache:
         assert (hits.value, misses.value) == (h0 + 1, m0 + 1)
 
 
-class TestShardedEmbeddingCache:
-    def test_round_trip_across_instances(self, tmp_path):
-        first = EmbeddingCache(str(tmp_path), prefix_len=2)
-        first.put("space", "ab1234", np.array([1.0, 2.0]))
-        first.put("space", "cd5678", np.array([3.0, 4.0]))
-        first.flush()
-        second = EmbeddingCache(str(tmp_path), prefix_len=2)
-        assert np.allclose(second.get("space", "ab1234"), [1.0, 2.0])
-        assert np.allclose(second.get("space", "cd5678"), [3.0, 4.0])
-
-    def test_one_file_per_shard(self, tmp_path):
-        cache = EmbeddingCache(str(tmp_path), prefix_len=2)
-        cache.put("space", "ab1234", np.ones(2))
-        cache.put("space", "ab9999", np.ones(2))
-        cache.put("space", "cd5678", np.ones(2))
-        cache.flush()
-        shard_dir = tmp_path / "embeddings-space"
-        assert sorted(p.name for p in shard_dir.iterdir()) == [
-            "ab.npz", "cd.npz",
-        ]
-
-    def test_shards_load_lazily(self, tmp_path):
-        seeded = EmbeddingCache(str(tmp_path), prefix_len=2)
-        seeded.put("space", "ab1234", np.ones(2))
-        seeded.put("space", "cd5678", np.ones(2))
-        seeded.flush()
-        cache = EmbeddingCache(str(tmp_path), prefix_len=2)
-        assert cache.get("space", "ab1234") is not None
-        loaded = cache._spaces["space"]
-        assert "ab" in loaded and "cd" not in loaded
-
-    def test_flush_only_rewrites_dirty_shards(self, tmp_path):
-        cache = EmbeddingCache(str(tmp_path), prefix_len=2)
-        cache.put("space", "ab1234", np.ones(2))
-        cache.flush()
-        first_mtime = (tmp_path / "embeddings-space" / "ab.npz").stat().st_mtime_ns
-        cache.put("space", "cd5678", np.ones(2))
-        cache.flush()
-        assert (
-            tmp_path / "embeddings-space" / "ab.npz"
-        ).stat().st_mtime_ns == first_mtime
-
-
 class TestCacheFileLayout:
     """One ``digests`` array plus one stacked ``vectors`` matrix per file."""
 
-    @pytest.mark.parametrize("prefix_len", [None, 2])
-    def test_round_trip_is_bit_exact(self, tmp_path, prefix_len):
+    def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         expected = {
             f"{index:02x}{index * 7919:08x}": rng.standard_normal(5)
@@ -111,11 +68,11 @@ class TestCacheFileLayout:
         expected["ff00000000"] = np.array(
             [np.pi, -0.0, 1e-308, np.nextafter(1.0, 2.0), 5e-324]
         )
-        first = EmbeddingCache(str(tmp_path), prefix_len=prefix_len)
+        first = EmbeddingCache(str(tmp_path))
         for digest, vector in expected.items():
             first.put("space", digest, vector)
         first.flush()
-        second = EmbeddingCache(str(tmp_path), prefix_len=prefix_len)
+        second = EmbeddingCache(str(tmp_path))
         for digest, vector in expected.items():
             got = second.get("space", digest)
             assert got.dtype == np.float64
@@ -162,6 +119,64 @@ class TestCacheFileLayout:
         before = loads.value
         warm = SearchEngine(lake, probes, cache_dir=str(cache_dir))
         assert loads.value == before  # rewritten in the new layout: all hits
+        for engine in (rebuilt, warm):
+            assert [tuple(hit) for hit in engine.search("legal contracts", k=5)] == [
+                tuple(hit) for hit in cold.search("legal contracts", k=5)
+            ]
+
+
+class TestShardedLakeCache:
+    """A sharded lake's cache is still one file per embedding space."""
+
+    @pytest.fixture()
+    def sharded_dir(self, lake_bundle, tmp_path):
+        directory = tmp_path / "lake"
+        save_lake(lake_bundle.lake, str(directory), sharded=True)
+        return directory
+
+    def test_one_file_per_space(self, probes, sharded_dir):
+        cache_dir = sharded_dir / "cache"
+        SearchEngine(load_lake(str(sharded_dir)), probes, cache_dir=str(cache_dir))
+        entries = sorted(cache_dir.iterdir())
+        assert all(entry.is_file() for entry in entries), entries
+        names = [entry.name for entry in entries]
+        assert len(names) == 2
+        assert "embeddings-weightstat-s4.npz" in names
+        assert any(
+            name.startswith("embeddings-behavioral-") and name.endswith(".npz")
+            for name in names
+        )
+
+    def test_prefix_directories_read_as_misses_once(self, probes, sharded_dir):
+        cache_dir = sharded_dir / "cache"
+        lake = load_lake(str(sharded_dir))
+        cold = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        # Move every space into the older per-digest-prefix layout.
+        for path in sorted(cache_dir.iterdir()):
+            with np.load(path) as archive:
+                digests = archive["digests"].tolist()
+                vectors = archive["vectors"]
+            prefix_dir = cache_dir / path.name[: -len(".npz")]
+            prefix_dir.mkdir()
+            for prefix in sorted({digest[:2] for digest in digests}):
+                rows = [i for i, d in enumerate(digests) if d[:2] == prefix]
+                np.savez(
+                    prefix_dir / f"{prefix}.npz",
+                    digests=np.array([digests[i] for i in rows]),
+                    vectors=vectors[rows],
+                )
+            path.unlink()
+        registry = obs_metrics.get_registry()
+        hits = registry.counter(EMBED_CACHE_HITS)
+        misses = registry.counter(EMBED_CACHE_MISSES)
+        h0, m0 = hits.value, misses.value
+        rebuilt = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        assert hits.value == h0  # the prefix directories are not read
+        assert misses.value - m0 == 2 * len(lake)
+        h0, m0 = hits.value, misses.value
+        warm = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        assert (hits.value - h0, misses.value - m0) == (2 * len(lake), 0)
+        assert len(list(cache_dir.glob("embeddings-*.npz"))) == 2
         for engine in (rebuilt, warm):
             assert [tuple(hit) for hit in engine.search("legal contracts", k=5)] == [
                 tuple(hit) for hit in cold.search("legal contracts", k=5)
@@ -219,8 +234,8 @@ class TestCacheThreadSafety:
     """Regression tests for the lazy first-touch / flush races.
 
     Before the cache grew its lock, two threads first-touching the same
-    shard both missed ``shards.get``, both read the npz, and the loser's
-    ``shards[shard] = vectors`` replaced the dict the winner had already
+    space both missed the lookup, both read the npz, and the loser's
+    assignment replaced the dict the winner had already
     put fresh embeddings into — embeddings a later flush then silently
     dropped.  These tests force that interleaving with a gated
     ``np.load`` and assert the put survives.

@@ -56,9 +56,7 @@ class TestBM25Properties:
     @given(st.lists(st.lists(words, min_size=1, max_size=8), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_scores_positive_and_query_subset(self, documents):
-        index = BM25Index()
-        for i, doc in enumerate(documents):
-            index.add(f"d{i}", " ".join(doc))
+        index = BM25Index((f"d{i}", " ".join(doc)) for i, doc in enumerate(documents))
         results = index.query(" ".join(documents[0]), k=10)
         assert results  # the document itself must match its own words
         assert all(score > 0 for _, score in results)
@@ -66,9 +64,7 @@ class TestBM25Properties:
     @given(st.lists(words, min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_self_retrieval(self, doc):
-        index = BM25Index()
-        index.add("target", " ".join(doc))
-        index.add("noise", "zzz yyy xxx www")
+        index = BM25Index([("target", " ".join(doc)), ("noise", "zzz yyy xxx www")])
         results = index.query(" ".join(doc), k=2)
         assert results[0][0] == "target"
 

@@ -132,6 +132,34 @@ class TestEndpoints:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("body", [
+        b"[1,2]",
+        b"5",
+        b"null",
+        b'{"q": "legal", "k": 1e400}',
+        b'{"q": ["a b"]}',
+        b'{"q": {"a": 1}}',
+        b'{"q": "legal", "k": 2.7}',
+        b'{"q": "legal", "k": true}',
+    ])
+    def test_malformed_search_body_is_400(self, server, body):
+        request = (
+            b"POST /search HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        head, payload = _raw_exchange(server.port, request)
+        assert head.startswith(b"HTTP/1.1 400 "), (head, payload)
+        assert "error" in json.loads(payload)
+
+    def test_query_string_k_still_parses(self, server):
+        request = (
+            b"GET /search?q=legal&k=10 HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\n\r\n"
+        )
+        head, payload = _raw_exchange(server.port, request)
+        assert head.startswith(b"HTTP/1.1 200 "), (head, payload)
+        assert json.loads(payload)["k"] == 10
+
     @pytest.mark.parametrize("value", ["abc", "-5", ""])
     def test_bad_content_length_is_400_then_close(self, server, value):
         request = (
