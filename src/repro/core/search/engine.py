@@ -74,8 +74,11 @@ class SearchEngine:
     ``cache_dir`` (conventionally ``<lake>/cache/``) enables the
     persistent embedding cache: rebuilds against unchanged weights skip
     model rehydration and embedding, loading vectors by weight digest
-    instead.  Pass an :class:`EmbeddingCache` via ``cache`` to share one
-    across engines (``cache_dir`` is then ignored).
+    instead.  The same directory keeps the frozen BM25 table
+    (``bm25.npz``), so a rebuild over unchanged cards skips tokenizing
+    them.  Pass an :class:`EmbeddingCache` via ``cache`` to share one
+    across engines (``cache_dir`` is then ignored, and the table lives
+    in that cache's directory).
     """
 
     def __init__(
@@ -98,7 +101,9 @@ class SearchEngine:
             cache = EmbeddingCache(cache_dir)
         self.cache = cache
         with trace("search.engine.build", models=len(lake)):
-            self.keyword_index: BM25Index = build_card_index(lake)
+            self.keyword_index: BM25Index = build_card_index(
+                lake, cache.directory if cache is not None else None
+            )
             self.behavioral: BehavioralSearcher = BehavioralSearcher(
                 lake, self.probes, cache=cache,
             )

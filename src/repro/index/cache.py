@@ -69,6 +69,11 @@ class EmbeddingCache:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
 
+    @property
+    def directory(self) -> Optional[str]:
+        """The cache directory, or None for an in-memory cache."""
+        return self._directory
+
     # ------------------------------------------------------------------
     def _path(self, space: str) -> str:
         assert self._directory is not None

@@ -49,6 +49,13 @@ class HNSWIndex:
         Score neighbor batches with one matrix op per beam expansion
         (default).  ``False`` selects the scalar reference path, which
         visits nodes in the same order and returns the same results.
+
+    Results are approximate, and equal scores do not follow the
+    ``(-score, id)`` contract of the exact indexes: ties order by
+    insertion position, and which of several tied vectors the beam
+    reaches at all depends on the walk.  This index serves the E5
+    recall/latency experiments only; search uses the exact
+    :class:`~repro.index.flat.FlatIndex`.
     """
 
     def __init__(

@@ -22,6 +22,13 @@ class LSHIndex:
     Each table hashes a vector to a ``bits_per_table``-bit signature via
     random hyperplanes.  Queries collect the union of colliding buckets
     across tables and re-rank candidates exactly.
+
+    Results are approximate, and equal scores do not follow the
+    ``(-score, id)`` contract of the exact indexes: ties order by
+    descending insertion position, and a tied vector outside every
+    colliding bucket is missed.  This index serves the E5
+    recall/latency experiments only; search uses the exact
+    :class:`~repro.index.flat.FlatIndex`.
     """
 
     def __init__(self, num_tables: int = 8, bits_per_table: int = 8, seed: int = 0):

@@ -70,6 +70,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    411: "Length Required",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -103,6 +104,12 @@ class _RequestTimeout(_BadRequest):
     status = 408
 
 
+class _LengthRequired(_BadRequest):
+    """A body framed other than by ``Content-Length`` (chunked, say)."""
+
+    status = 411
+
+
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
     try:
         return await reader.readline()
@@ -117,9 +124,10 @@ async def _read_request(
     """One request as ``(method, target, version, headers, body)``.
 
     ``None`` means the client closed the connection between requests;
-    :class:`_BadRequest` means a malformed or oversized request, and
-    :class:`_RequestTimeout` one whose headers and body outlasted
-    :data:`_REQUEST_DEADLINE_S`.
+    :class:`_BadRequest` means a malformed or oversized request,
+    :class:`_LengthRequired` one whose body is not framed by
+    ``Content-Length``, and :class:`_RequestTimeout` one whose headers
+    and body outlasted :data:`_REQUEST_DEADLINE_S`.
     """
     request_line = await _read_line(reader)
     if not request_line:
@@ -151,7 +159,15 @@ async def _read_headers_and_body(
         if count > _MAX_HEADERS:
             raise _BadRequest("too many headers")
         name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise _BadRequest("conflicting Content-Length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        # Only Content-Length framing is read; a chunked body left
+        # unread would be parsed as the next request.
+        raise _LengthRequired("Transfer-Encoding is not supported; "
+                              "send a Content-Length")
     length = _content_length(headers.get("content-length"))
     if length is None:
         raise _BadRequest("bad Content-Length")
@@ -379,7 +395,10 @@ class LakeServer:
     async def _dispatch(
         self, http_method: str, target: str, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        split = urlsplit(target)
+        try:
+            split = urlsplit(target)
+        except ValueError:  # e.g. "//[x": an unterminated IPv6 host
+            return 400, {"error": f"malformed request target {target!r}"}
         path = unquote(split.path)
         endpoint = self._endpoint_of(path)
         obs_metrics.inc(SERVE_REQUESTS)

@@ -107,8 +107,8 @@ class TestCacheFileLayout:
         lake = lake_bundle.lake
         cache_dir = tmp_path / "cache"
         cold = SearchEngine(lake, probes, cache_dir=str(cache_dir))
-        # Rewrite every cache file in the old one-member-per-digest layout.
-        for path in cache_dir.iterdir():
+        # Rewrite every embedding file in the old one-member-per-digest layout.
+        for path in cache_dir.glob("embeddings-*.npz"):
             with np.load(path) as archive:
                 old = dict(zip(archive["digests"].tolist(), archive["vectors"]))
             np.savez(path, **old)
@@ -140,19 +140,19 @@ class TestShardedLakeCache:
         entries = sorted(cache_dir.iterdir())
         assert all(entry.is_file() for entry in entries), entries
         names = [entry.name for entry in entries]
-        assert len(names) == 2
-        assert "embeddings-weightstat-s4.npz" in names
-        assert any(
-            name.startswith("embeddings-behavioral-") and name.endswith(".npz")
-            for name in names
-        )
+        behavioral = [name for name in names
+                      if name.startswith("embeddings-behavioral-")]
+        assert len(behavioral) == 1 and behavioral[0].endswith(".npz")
+        assert set(names) == {
+            behavioral[0], "embeddings-weightstat-s4.npz", "bm25.npz",
+        }
 
     def test_prefix_directories_read_as_misses_once(self, probes, sharded_dir):
         cache_dir = sharded_dir / "cache"
         lake = load_lake(str(sharded_dir))
         cold = SearchEngine(lake, probes, cache_dir=str(cache_dir))
         # Move every space into the older per-digest-prefix layout.
-        for path in sorted(cache_dir.iterdir()):
+        for path in sorted(cache_dir.glob("embeddings-*.npz")):
             with np.load(path) as archive:
                 digests = archive["digests"].tolist()
                 vectors = archive["vectors"]

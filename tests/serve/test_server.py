@@ -1,9 +1,11 @@
 """HTTP-level tests for the lake server: endpoints, parity, shutdown."""
 
 import json
+import random
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
 
 import pytest
@@ -12,8 +14,24 @@ import pytest
 _STREAM_LIMIT = 64 * 1024
 
 
+def _responses(received: bytes):
+    """Split the bytes of a connection into ``(head, body)`` responses."""
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        length = next(
+            int(line.split(b":", 1)[1])
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        )
+        responses.append((head, rest[:length]))
+        received = rest[length:]
+    return responses
+
+
 def _raw_exchange(port: int, request: bytes):
-    """Send raw bytes, read until the server closes; (head, body)."""
+    """Send raw bytes, read until the server closes; (head, body) of the
+    one response it sent (a second response fails the unpacking)."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(request)
         received = b""
@@ -22,8 +40,8 @@ def _raw_exchange(port: int, request: bytes):
             if not chunk:  # the server closed the connection
                 break
             received += chunk
-    head, _, body = received.partition(b"\r\n\r\n")
-    return head, body
+    [response] = _responses(received)
+    return response
 
 
 class TestEndpoints:
@@ -171,6 +189,50 @@ class TestEndpoints:
         assert b"Connection: close" in head
         assert json.loads(body) == {"error": "bad Content-Length"}
 
+    def test_chunked_post_gets_one_411_then_close(self, server):
+        body = b'{"q": "legal"}'
+        request = (
+            b"POST /search HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        )
+        head, payload = _raw_exchange(server.port, request)
+        assert head.startswith(b"HTTP/1.1 411 Length Required"), head
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(payload)["error"]
+
+    def test_conflicting_content_lengths_get_one_400_then_close(self, server):
+        body = b'{"q": "legal"}'
+        request = (
+            b"POST /search HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\nContent-Length: 2\r\n\r\n%s"
+            % (len(body), body)
+        )
+        head, payload = _raw_exchange(server.port, request)
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert b"Connection: close" in head
+        assert json.loads(payload) == {
+            "error": "conflicting Content-Length headers"
+        }
+
+    def test_unparseable_target_is_400(self, server):
+        request = b"GET //[::1/search?q=legal HTTP/1.1\r\nConnection: close\r\n\r\n"
+        head, payload = _raw_exchange(server.port, request)
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert "malformed request target" in json.loads(payload)["error"]
+
+    def test_repeated_equal_content_lengths_are_accepted(self, server):
+        body = b'{"q": "legal", "k": 2}'
+        request = (
+            b"POST /search HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(body), len(body), body)
+        )
+        head, payload = _raw_exchange(server.port, request)
+        assert head.startswith(b"HTTP/1.1 200 "), head
+        assert json.loads(payload)["k"] == 2
+
     @pytest.mark.parametrize("where", ["request_line", "header_line"])
     def test_overlong_line_is_400_then_close(self, server, where):
         filler = "a" * (_STREAM_LIMIT + 1024)
@@ -227,6 +289,143 @@ class TestRequestDeadline:
                 time.sleep(3 * self.DEADLINE)  # idle between requests
         finally:
             conn.close()
+
+
+#: Valid requests the fuzz drill mutates.
+_FUZZ_SEEDS = (
+    b"GET /search?q=legal+court+statute&k=3&method=hybrid HTTP/1.1\r\n"
+    b"Host: x\r\nConnection: close\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+    b"GET /model/foundation-0 HTTP/1.1\r\nHost: x\r\n\r\n",
+    b"POST /search HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 30\r\n\r\n{\"q\": \"medical notes\", \"k\": 2}",
+)
+
+_JUNK_METHODS = (b"", b"G ET", b"PATCH", b"get", b"\x00\x01", b"GETGETGET")
+_JUNK_VERSIONS = (b"HTTP/9.9", b"HTTX/1.1", b"HTTP/1.1 extra", b"", b"\xff")
+_JUNK_TARGETS = (b"//[::1", b"http://[x/", b"/search?q=%ff%fe", b"*", b"/model/")
+_ODD_HEADERS = (
+    b"NoColon\r\n", b": no-name\r\n", b" folded continuation\r\n",
+    b"X-Bytes: \xff\xfe\x00\r\n", b"Transfer-Encoding: chunked\r\n",
+    b"Content-Length: 5\r\nContent-Length: 7\r\n", b"\r\n",
+    b"Connection: keep-alive, close\r\n",
+)
+_BAD_LENGTHS = (
+    b"-1", b"abc", b"1e3", b"+5", b"0x10", b" ", b"99999999999999999999",
+    str((1 << 20) + 1).encode(), b"4000",
+)
+
+
+def _fuzz_case(rng: random.Random):
+    """One mutated request as ``(bytes, stall)``.
+
+    A stalling case keeps its write side open, so the server must end
+    it by its request deadline; every other case half-closes after
+    sending, so a complete keep-alive request cannot park the
+    connection.
+    """
+    request = bytearray(rng.choice(_FUZZ_SEEDS))
+    line_end = request.index(b"\r\n")
+    head_end = request.index(b"\r\n\r\n")
+    kind = rng.randrange(9)
+    if kind == 0:  # truncation anywhere
+        return bytes(request[:rng.randrange(len(request))]), False
+    if kind == 1:  # byte flips
+        for _ in range(rng.randint(1, 4)):
+            request[rng.randrange(len(request))] = rng.randrange(256)
+        return bytes(request), False
+    method, target, version = bytes(request[:line_end]).split(b" ")
+    rest = bytes(request[line_end:])
+    if kind == 2:
+        return b" ".join([rng.choice(_JUNK_METHODS), target, version]) + rest, False
+    if kind == 3:
+        return b" ".join([method, target, rng.choice(_JUNK_VERSIONS)]) + rest, False
+    if kind == 4:
+        return b" ".join([method, rng.choice(_JUNK_TARGETS), version]) + rest, False
+    if kind == 5:  # an odd header line right after the request line
+        cut = line_end + 2
+        return bytes(request[:cut]) + rng.choice(_ODD_HEADERS) + bytes(request[cut:]), False
+    if kind == 6:
+        cut = line_end + 2
+        length = b"Content-Length: " + rng.choice(_BAD_LENGTHS) + b"\r\n"
+        return bytes(request[:cut]) + length + bytes(request[cut:]), rng.random() < 0.3
+    if kind == 7:  # an overlong request or header line
+        filler = b"a" * (_STREAM_LIMIT + rng.randrange(1, 4096))
+        if rng.random() < 0.5:
+            return b"GET /" + filler + b" HTTP/1.1\r\n\r\n", False
+        return bytes(request[:line_end + 2]) + b"X-Filler: " + filler + rest, False
+    # A started request that stops before its headers end.
+    return bytes(request[:rng.randrange(line_end + 2, head_end + 2)]), True
+
+
+def _probe(port: int, request: bytes, stall: bool, timeout: float):
+    """Seconds until the server closed, and the responses it sent."""
+    start = time.perf_counter()
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        try:
+            sock.sendall(request)
+            if not stall:
+                sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server answered and closed before the rest went out
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    return time.perf_counter() - start, _responses(received)
+
+
+class TestFuzzDrill:
+    """A seeded byte-fuzz of the HTTP front end (about 200 cases).
+
+    Every mutated request gets a non-5xx response or a clean close
+    within the request deadline plus a margin; no handler raises; and
+    after the drain nothing is left in flight or open.
+    """
+
+    DEADLINE = 0.2
+    MARGIN = 3.0
+    CASES = 200
+    SEED = 17
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "_REQUEST_DEADLINE_S", self.DEADLINE)
+
+    def test_malformed_requests_get_4xx_or_clean_close(self, serve_lake_dir):
+        from tests.serve.conftest import ServerHarness
+
+        rng = random.Random(self.SEED)
+        cases = [_fuzz_case(rng) for _ in range(self.CASES)]
+        assert any(stall for _, stall in cases)
+        harness = ServerHarness(serve_lake_dir, window=0.002)
+        loop_errors = []
+        harness._loop.set_exception_handler(
+            lambda _loop, context: loop_errors.append(context)
+        )
+        harness.start()
+        try:
+            limit = self.DEADLINE + self.MARGIN
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outcomes = list(pool.map(
+                    lambda case: _probe(harness.port, case[0], case[1], limit),
+                    cases,
+                ))
+        finally:
+            harness.stop()
+        for (request, stall), (elapsed, responses) in zip(cases, outcomes):
+            assert elapsed < limit, (request[:200], stall, elapsed)
+            for head, _ in responses:
+                status = int(head.split(b" ", 2)[1])
+                assert 200 <= status < 500, (request[:200], head)
+        assert not loop_errors, loop_errors
+        assert harness.server._in_flight == 0
+        assert not harness.server._handlers
+        assert harness.snapshot.open_handles == 0
 
 
 class TestConcurrency:
