@@ -21,7 +21,8 @@ must be all cache hits, strictly faster, and byte-identical in its
 findings — which is what proves the cache layer is both exercised and
 correct.
 
-``--graph`` exercises the dependency-aware graph cache the same way:
+``--graph`` exercises the graph phase's dependency-aware cache entries
+the same way:
 a cold full-tree graph build must beat ``GRAPH_BUDGET_SECONDS``, a warm
 rerun must replay every module from cache, and after a single-file edit
 the re-analyzed set must be exactly the edited file plus its
@@ -34,10 +35,6 @@ every module from cache, and a one-file edit must re-analyze exactly
 the file plus its reverse-import closure.  Full runs (and ``--record``)
 append a ``lint.dataflow`` point to the perf trajectory; ``--check``
 gates the fresh numbers against the committed history.
-
-``--perf`` does the same for the cost-model perf pack (``lint.perf``
-trajectory): cold budget ``PERF_BUDGET_SECONDS``, all-hits warm rerun,
-and the exact reverse-closure invalidation set after a one-file edit.
 """
 
 from __future__ import annotations
@@ -52,11 +49,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.analysis import LintConfig, collect_sources, run_lint  # noqa: E402
-from repro.analysis.cache import content_digest  # noqa: E402
-from repro.analysis.dataflow import DataflowCache, analyze_dataflow  # noqa: E402
-from repro.analysis.perf import PerfCache, analyze_perf  # noqa: E402
+from repro.analysis.cache import LintCache, content_digest  # noqa: E402
+from repro.analysis.dataflow import analyze_dataflow  # noqa: E402
 from repro.analysis.graph import (  # noqa: E402
-    GraphCache,
     analyze_project,
     build_project,
     load_contract,
@@ -74,7 +69,6 @@ DATAFLOW_PATHS = ["src"]
 BUDGET_SECONDS = 5.0
 GRAPH_BUDGET_SECONDS = 2.0
 DATAFLOW_BUDGET_SECONDS = 4.0
-PERF_BUDGET_SECONDS = 4.0
 DEFAULT_RESULTS = os.path.join(REPO_ROOT, "benchmarks", "results")
 
 #: The file the incremental proof edits: inside the analysis subsystem,
@@ -140,7 +134,7 @@ def run_graph() -> int:
         cache_path = os.path.join(scratch, "graph-cache.json")
 
         def sweep(files):
-            cache = GraphCache(cache_path)
+            cache = LintCache(cache_path)
             start = time.perf_counter()
             report = analyze_project(files, contract, cache)
             elapsed = time.perf_counter() - start
@@ -219,7 +213,7 @@ def run_dataflow(
 
         def sweep(files):
             project = build_project(files, contract)
-            cache = DataflowCache(cache_path)
+            cache = LintCache(cache_path)
             start = time.perf_counter()
             report = analyze_dataflow(files, project, cache)
             elapsed = time.perf_counter() - start
@@ -304,104 +298,6 @@ def run_dataflow(
     return 1 if failures else 0
 
 
-def run_perf(
-    smoke: bool,
-    record: bool,
-    check: bool,
-    results_dir: str,
-) -> int:
-    sources = collect_sources(REPO_ROOT, DATAFLOW_PATHS)
-    contract = load_contract(os.path.join(REPO_ROOT, ".repro-arch.toml"))
-    with tempfile.TemporaryDirectory(prefix="bench-perf-") as scratch:
-        cache_path = os.path.join(scratch, "perf-cache.json")
-
-        def sweep(files):
-            project = build_project(files, contract)
-            cache = PerfCache(cache_path)
-            start = time.perf_counter()
-            report = analyze_perf(files, project, cache)
-            elapsed = time.perf_counter() - start
-            cache.save()
-            return report, elapsed
-
-        cold, cold_seconds = sweep(sources)
-        warm, warm_seconds = sweep(sources)
-        edited = dict(sources)
-        new_source = edited[EDIT_TARGET][0] + "\n# bench edit\n"
-        edited[EDIT_TARGET] = (new_source, content_digest(new_source))
-        incremental, incremental_seconds = sweep(edited)
-
-    source_roots = contract.source_roots if contract is not None else ("src",)
-    edited_module = module_name_for(EDIT_TARGET, source_roots)
-    closure = build_project(edited, contract).imports.reverse_closure(
-        edited_module
-    )
-
-    print(
-        f"[bench_lint --perf] modules={cold.modules} "
-        f"functions={cold.functions_analyzed} findings={len(cold.findings)}"
-    )
-    print(
-        f"[bench_lint --perf] cold={cold_seconds:.3f}s "
-        f"(budget={PERF_BUDGET_SECONDS:.0f}s)  warm={warm_seconds:.3f}s "
-        f"(re-analyzed={warm.files_reanalyzed})  "
-        f"edit {EDIT_TARGET}: re-analyzed={incremental.files_reanalyzed} "
-        f"expected={len(closure)} in {incremental_seconds:.3f}s"
-    )
-
-    failures = []
-    if cold_seconds >= PERF_BUDGET_SECONDS:
-        failures.append(
-            f"cold src perf sweep took {cold_seconds:.3f}s "
-            f">= budget {PERF_BUDGET_SECONDS}s"
-        )
-    if cold.files_reanalyzed != cold.modules:
-        failures.append("first sweep should analyze every module")
-    if warm.files_reanalyzed != 0:
-        failures.append(
-            f"warm rerun re-analyzed {warm.files_reanalyzed} modules; "
-            "an unchanged tree must replay entirely from cache"
-        )
-    if warm.findings != cold.findings:
-        failures.append("cached findings diverged from cold findings")
-    if incremental.files_reanalyzed != len(closure):
-        failures.append(
-            f"one-file edit re-analyzed {incremental.files_reanalyzed} "
-            f"modules, expected exactly the file plus its reverse-import "
-            f"closure ({len(closure)})"
-        )
-    if not (0 < len(closure) < cold.modules):
-        failures.append(
-            "edit target's reverse closure should be a nonempty strict "
-            "subset of the tree; pick a different EDIT_TARGET"
-        )
-
-    mode = "smoke" if smoke else "full"
-    result = BenchResult(bench="lint.perf", mode=mode, metrics={
-        "modules": float(cold.modules),
-        "functions": float(cold.functions_analyzed),
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "incremental_seconds": incremental_seconds,
-        "reanalyzed_after_edit": float(incremental.files_reanalyzed),
-    })
-    if check:
-        history = load_trajectory(results_dir, result.bench)
-        report = check_regression(result, history)
-        print(report.to_text())
-        if not report.passed:
-            failures.append("perf-pack timings regressed against trajectory")
-    if record or not smoke:
-        path = append_result(results_dir, result)
-        print(f"[bench_lint --perf] recorded {result.bench} -> {path}")
-
-    for failure in failures:
-        print(f"[bench_lint --perf] FAIL: {failure}")
-    if not failures:
-        print("[bench_lint --perf] OK")
-    return 1 if failures else 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -417,10 +313,6 @@ def main() -> int:
         help="benchmark the CFG/taint dataflow phase instead",
     )
     parser.add_argument(
-        "--perf", action="store_true",
-        help="benchmark the cost-model perf pack instead",
-    )
-    parser.add_argument(
         "--record", action="store_true",
         help="append the trajectory point even in smoke mode",
     )
@@ -433,11 +325,6 @@ def main() -> int:
         help=f"trajectory location (default {DEFAULT_RESULTS})",
     )
     args = parser.parse_args()
-    if args.perf:
-        return run_perf(
-            smoke=args.smoke, record=args.record, check=args.check,
-            results_dir=args.results,
-        )
     if args.dataflow:
         return run_dataflow(
             smoke=args.smoke, record=args.record, check=args.check,

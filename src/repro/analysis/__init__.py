@@ -11,18 +11,21 @@ package checks them at the source level, before any test runs:
 * :mod:`repro.analysis.pragmas` — ``# repro: noqa[rule]`` line pragmas;
 * :mod:`repro.analysis.baseline` — ``.repro-lint.json``, the justified-
   exception ledger;
-* :mod:`repro.analysis.cache` — per-file result cache keyed on content
-  hash and rule-set fingerprint;
+* :mod:`repro.analysis.cache` — the one lint cache file: per-file
+  findings keyed on content hash and rule-set fingerprint, and the
+  whole-program phases' results keyed on dependency digests;
 * :mod:`repro.analysis.graph` — the whole-program view: import/call
-  graphs, the ``.repro-arch.toml`` layer contract, interprocedural
-  rules, and the dependency-aware incremental cache;
+  graphs, the ``.repro-arch.toml`` layer contract, and interprocedural
+  rules;
+* :mod:`repro.analysis.dataflow` — CFGs, a fixpoint solver, taint, and
+  the concurrency/resource-safety rule pack;
 * :mod:`repro.analysis.runner` / :mod:`repro.analysis.report` — the
   sweep and its text/JSON rendering, surfaced as ``repro lint`` and
   ``repro graph``.
 """
 
 from repro.analysis.baseline import Baseline, BaselineEntry, load_baseline
-from repro.analysis.cache import FindingsCache
+from repro.analysis.cache import LintCache
 from repro.analysis.core import (
     FileContext,
     Finding,
@@ -48,7 +51,7 @@ __all__ = [
     "BaselineEntry",
     "FileContext",
     "Finding",
-    "FindingsCache",
+    "LintCache",
     "LintConfig",
     "LintResult",
     "Rule",

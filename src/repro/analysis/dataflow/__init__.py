@@ -8,9 +8,8 @@ backing it?  This subpackage supplies the machinery:
 * :mod:`repro.analysis.dataflow.cfg` — per-function control-flow graphs
   covering branches, loops, ``try/except/finally``, ``with``, ``match``,
   and comprehension back edges;
-* :mod:`repro.analysis.dataflow.solver` — a generic worklist fixpoint
-  solver plus the two classic instances (reaching definitions,
-  liveness) every rule builds on;
+* :mod:`repro.analysis.dataflow.solver` — a generic forward worklist
+  fixpoint solver that the taint and resource analyses instantiate;
 * :mod:`repro.analysis.dataflow.taint` — intraprocedural taint
   propagation with def-use chains, from nondeterminism sources to
   digest sinks;
@@ -22,14 +21,11 @@ backing it?  This subpackage supplies the machinery:
   rule pack (shared-state-race, blocking-call-in-async, memmap-escape,
   impure-digest-flow, resource-leak);
 * :mod:`repro.analysis.dataflow.engine` — incremental evaluation, cached
-  per dependency digest (engine version included, so engine upgrades
-  invalidate cleanly), surfaced as ``repro lint --dataflow``.
+  in the lint cache per dependency digest (engine version included, so
+  engine upgrades invalidate cleanly), surfaced as
+  ``repro lint --dataflow``.
 """
 
-from repro.analysis.dataflow.cache import (
-    DEFAULT_DATAFLOW_CACHE_NAME,
-    DataflowCache,
-)
 from repro.analysis.dataflow.cfg import (
     CFG,
     Block,
@@ -53,34 +49,21 @@ from repro.analysis.dataflow.rules import (
     dataflow_rules_fingerprint,
     register_dataflow_rule,
 )
-from repro.analysis.dataflow.solver import (
-    Analysis,
-    Definition,
-    Liveness,
-    ReachingDefinitions,
-    solve,
-    solve_liveness,
-    solve_reaching,
-)
+from repro.analysis.dataflow.solver import Analysis, solve
 from repro.analysis.dataflow.summaries import SummaryIndex
 
 __all__ = [
     "Analysis",
     "Block",
     "CFG",
-    "DEFAULT_DATAFLOW_CACHE_NAME",
-    "DataflowCache",
     "DataflowEngine",
     "DataflowReport",
     "DataflowRule",
-    "Definition",
     "ENGINE_VERSION",
     "Element",
     "FunctionModel",
-    "Liveness",
     "ModelIndex",
     "ModuleModel",
-    "ReachingDefinitions",
     "SummaryIndex",
     "all_dataflow_rules",
     "analyze_dataflow",
@@ -92,6 +75,4 @@ __all__ = [
     "render_cfg_dot",
     "render_cfg_text",
     "solve",
-    "solve_liveness",
-    "solve_reaching",
 ]

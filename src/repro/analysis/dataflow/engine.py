@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.cache import LintCache
 from repro.analysis.core import Finding
-from repro.analysis.dataflow.cache import DataflowCache
 from repro.analysis.dataflow.model import FunctionModel, ModelIndex
 from repro.analysis.dataflow.rules import (
     DataflowContext,
@@ -104,7 +104,7 @@ class DataflowEngine:
 def analyze_dataflow(
     files: Dict[str, Tuple[str, str]],
     project: ProjectGraph,
-    cache: DataflowCache,
+    cache: LintCache,
 ) -> DataflowReport:
     """Run the dataflow rule pack incrementally over ``files``.
 
@@ -126,18 +126,18 @@ def analyze_dataflow(
         if rel_path not in files:
             continue
         dep_digest = engine.dependency_digest(module, digests)
-        findings = cache.get_module_findings(rel_path, dep_digest)
+        findings = cache.get_findings("dataflow_modules", rel_path, dep_digest)
         if findings is None:
             report.files_reanalyzed += 1
             with trace("dataflow.module", path=rel_path):
                 raw, functions = engine.check_module(rel_path)
             report.functions_analyzed += functions
             findings, _suppressed = apply_pragmas(raw, files[rel_path][0])
-            cache.put_module_findings(rel_path, dep_digest, findings)
+            cache.put_findings("dataflow_modules", rel_path, dep_digest, findings)
         aggregate.extend(findings)
     report.findings = sorted(aggregate)
-    report.cache_hits = cache.hits
-    report.cache_misses = cache.misses
+    report.cache_hits = cache.hits["dataflow_modules"]
+    report.cache_misses = cache.misses["dataflow_modules"]
     return report
 
 

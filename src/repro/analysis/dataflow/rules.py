@@ -700,8 +700,6 @@ _Resource = Tuple[str, int, str]  # (name, acq_line, acquired_from)
 class _ResourceAnalysis(Analysis):
     """Forward may-analysis: open resources live at each point."""
 
-    direction = "forward"
-
     def __init__(self, model: ModuleModel):
         self.model = model
 

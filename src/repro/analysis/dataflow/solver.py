@@ -1,41 +1,25 @@
-"""A generic worklist fixpoint solver over function CFGs.
+"""A generic forward worklist fixpoint solver over function CFGs.
 
-An :class:`Analysis` declares a direction, a bottom fact, a join, and a
-per-element transfer function; :func:`solve` iterates blocks to a
-fixpoint.  Facts must be hashable values forming a finite join
-semilattice under :meth:`Analysis.join` — the solver requires
-monotonicity from transfer functions but does not check it (a
-non-monotone transfer simply may not terminate, which is why the solver
-also carries an iteration guard).
+An :class:`Analysis` declares a bottom fact, a boundary fact for the
+entry block, a join, and a per-element transfer function; :func:`solve`
+propagates facts along CFG edges, entry to exit, until nothing changes.
+Facts must be hashable values forming a finite join semilattice under
+:meth:`Analysis.join` — the solver requires monotonicity from transfer
+functions but does not check it (a non-monotone transfer simply may not
+terminate, which is why the solver also carries an iteration guard).
 
-Two classic instances ship here because every rule needs one of them:
-
-* :class:`ReachingDefinitions` (forward) — which assignments may reach
-  each program point; the substrate for def-use chains.
-* :class:`Liveness` (backward) — which names may still be read later;
-  the substrate for dead-store and escape reasoning.
+The dataflow rule pack instantiates it twice: taint propagation
+(:mod:`repro.analysis.dataflow.taint`) and the open-resource analysis
+behind ``resource-leak`` (:mod:`repro.analysis.dataflow.rules`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, Tuple
 
-from repro.analysis.dataflow.cfg import (
-    CFG,
-    Block,
-    Element,
-    element_defs,
-    element_uses,
-)
+from repro.analysis.dataflow.cfg import CFG, Block, Element
 
-__all__ = [
-    "Analysis",
-    "solve",
-    "Definition",
-    "ReachingDefinitions",
-    "Liveness",
-]
+__all__ = ["Analysis", "solve"]
 
 #: Hard cap on solver sweeps; a finite lattice converges in
 #: O(blocks * lattice height), so hitting this means a broken transfer.
@@ -43,16 +27,14 @@ MAX_SWEEPS = 1000
 
 
 class Analysis:
-    """One dataflow problem: direction, lattice bottom, join, transfer."""
-
-    direction: str = "forward"  # "forward" | "backward"
+    """One forward dataflow problem: lattice bottom, join, transfer."""
 
     def bottom(self, cfg: CFG):
         """The no-information fact blocks start from."""
         raise NotImplementedError
 
     def boundary(self, cfg: CFG):
-        """The fact entering the entry block (exit block if backward)."""
+        """The fact entering the entry block."""
         return self.bottom(cfg)
 
     def join(self, left, right):
@@ -60,46 +42,29 @@ class Analysis:
         raise NotImplementedError
 
     def transfer(self, element: Element, fact):
-        """Fact after (before, if backward) one element."""
+        """Fact after one element."""
         raise NotImplementedError
 
     # -- derived ------------------------------------------------------
     def transfer_block(self, block: Block, fact):
-        elements = (
-            block.elements
-            if self.direction == "forward"
-            else reversed(block.elements)
-        )
-        for element in elements:
+        for element in block.elements:
             fact = self.transfer(element, fact)
         return fact
 
 
 def solve(cfg: CFG, analysis: Analysis) -> Dict[int, Tuple[object, object]]:
-    """Fixpoint facts per block: ``{block_index: (fact_in, fact_out)}``.
-
-    For a backward analysis ``fact_in`` is the fact at block *exit* (the
-    input to its transfer) and ``fact_out`` the fact at block entry.
-    """
-    forward = analysis.direction == "forward"
-    boundary_block = cfg.entry if forward else cfg.exit
-
-    def sources(block: Block):
-        return block.preds if forward else block.succs
-
+    """Fixpoint facts per block: ``{block_index: (fact_in, fact_out)}``."""
     facts_in: Dict[int, object] = {}
     facts_out: Dict[int, object] = {}
     for block in cfg.blocks:
         facts_in[block.index] = analysis.bottom(cfg)
         facts_out[block.index] = analysis.bottom(cfg)
-    facts_in[boundary_block] = analysis.boundary(cfg)
-    facts_out[boundary_block] = analysis.transfer_block(
-        cfg.blocks[boundary_block], facts_in[boundary_block]
+    facts_in[cfg.entry] = analysis.boundary(cfg)
+    facts_out[cfg.entry] = analysis.transfer_block(
+        cfg.blocks[cfg.entry], facts_in[cfg.entry]
     )
 
     pending = list(range(len(cfg.blocks)))
-    if not forward:
-        pending.reverse()
     queued = set(pending)
     sweeps = 0
     while pending:
@@ -113,16 +78,15 @@ def solve(cfg: CFG, analysis: Analysis) -> Dict[int, Tuple[object, object]]:
         queued.discard(index)
         block = cfg.blocks[index]
         incoming = analysis.bottom(cfg)
-        if index == boundary_block:
+        if index == cfg.entry:
             incoming = analysis.boundary(cfg)
-        for source in sources(block):
+        for source in block.preds:
             incoming = analysis.join(incoming, facts_out[source])
         outgoing = analysis.transfer_block(block, incoming)
         facts_in[index] = incoming
         if outgoing != facts_out[index]:
             facts_out[index] = outgoing
-            targets = block.succs if forward else block.preds
-            for target in targets:
+            for target in block.succs:
                 if target not in queued:
                     pending.append(target)
                     queued.add(target)
@@ -130,128 +94,3 @@ def solve(cfg: CFG, analysis: Analysis) -> Dict[int, Tuple[object, object]]:
         index: (facts_in[index], facts_out[index])
         for index in range(len(cfg.blocks))
     }
-
-
-# -- reaching definitions ----------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class Definition:
-    """One binding of a name at a program point."""
-
-    name: str
-    line: int
-    block: int
-    position: int  # element index within the block
-
-
-class ReachingDefinitions(Analysis):
-    """Which definitions of each name may reach a program point.
-
-    Facts are frozensets of :class:`Definition`; an element kills every
-    reaching definition of the names it binds and generates its own.
-    """
-
-    direction = "forward"
-
-    def __init__(self, cfg: CFG):
-        self._positions: Dict[int, Dict[int, int]] = {}
-        for block in cfg.blocks:
-            self._positions[block.index] = {
-                id(element): position
-                for position, element in enumerate(block.elements)
-            }
-        self._owner: Dict[int, int] = {}
-        for block in cfg.blocks:
-            for element in block.elements:
-                self._owner[id(element)] = block.index
-
-    def bottom(self, cfg: CFG) -> FrozenSet[Definition]:
-        return frozenset()
-
-    def boundary(self, cfg: CFG) -> FrozenSet[Definition]:
-        """Parameters count as definitions made at the ``def`` line."""
-        args = getattr(cfg.node, "args", None)
-        if args is None:
-            return frozenset()
-        names = [
-            arg.arg
-            for arg in (
-                list(args.posonlyargs) + list(args.args)
-                + ([args.vararg] if args.vararg else [])
-                + list(args.kwonlyargs)
-                + ([args.kwarg] if args.kwarg else [])
-            )
-        ]
-        line = getattr(cfg.node, "lineno", 0)
-        return frozenset(
-            Definition(name=name, line=line, block=cfg.entry, position=-1)
-            for name in names
-        )
-
-    def join(
-        self, left: FrozenSet[Definition], right: FrozenSet[Definition]
-    ) -> FrozenSet[Definition]:
-        return left | right
-
-    def transfer(
-        self, element: Element, fact: FrozenSet[Definition]
-    ) -> FrozenSet[Definition]:
-        defined = element_defs(element)
-        if not defined:
-            return fact
-        block = self._owner[id(element)]
-        position = self._positions[block][id(element)]
-        survivors = {d for d in fact if d.name not in defined}
-        for name in defined:
-            survivors.add(
-                Definition(
-                    name=name, line=element.lineno, block=block, position=position
-                )
-            )
-        return frozenset(survivors)
-
-    # -- queries ------------------------------------------------------
-    @staticmethod
-    def at_element(
-        cfg: CFG,
-        facts: Dict[int, Tuple[object, object]],
-        analysis: "ReachingDefinitions",
-        block: Block,
-        position: int,
-    ) -> FrozenSet[Definition]:
-        """Definitions reaching just *before* ``block.elements[position]``."""
-        fact = facts[block.index][0]
-        for element in block.elements[:position]:
-            fact = analysis.transfer(element, fact)
-        return fact  # type: ignore[return-value]
-
-
-class Liveness(Analysis):
-    """Which names may still be read on some path to the exit."""
-
-    direction = "backward"
-
-    def bottom(self, cfg: CFG) -> FrozenSet[str]:
-        return frozenset()
-
-    def join(
-        self, left: FrozenSet[str], right: FrozenSet[str]
-    ) -> FrozenSet[str]:
-        return left | right
-
-    def transfer(self, element: Element, fact: FrozenSet[str]) -> FrozenSet[str]:
-        return (fact - element_defs(element)) | element_uses(element)
-
-
-def solve_reaching(cfg: CFG) -> Tuple[
-    ReachingDefinitions, Dict[int, Tuple[object, object]]
-]:
-    """Convenience: instantiate and solve reaching definitions."""
-    analysis = ReachingDefinitions(cfg)
-    return analysis, solve(cfg, analysis)
-
-
-def solve_liveness(cfg: CFG) -> Dict[int, Tuple[object, object]]:
-    """Convenience: solve liveness; facts are per-block (exit, entry)."""
-    return solve(cfg, Liveness())

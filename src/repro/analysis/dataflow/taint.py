@@ -205,8 +205,6 @@ def _normalize(pairs: Set[Tuple[str, Taint]]) -> _Fact:
 
 
 class _TaintAnalysis(Analysis):
-    direction = "forward"
-
     def __init__(self, fn: FunctionModel, resolver: _Resolver, seed_params: bool):
         self.fn = fn
         self.resolver = resolver

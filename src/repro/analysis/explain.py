@@ -1,7 +1,7 @@
 """``repro lint --explain [RULE]``: what a rule means and how it looks.
 
-Pulls one rule from whichever registry owns it — per-file, graph,
-dataflow, or perf — and renders its description, severity, scope, and a
+Pulls one rule from whichever registry owns it — per-file, graph, or
+dataflow — and renders its description, severity, scope, and a
 minimal positive/negative example pair.  The examples are real sources
 (the explain tests execute the per-file ones through
 :func:`lint_source` and the pack ones through their engines), so the
@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 from repro.analysis.core import all_rules
 from repro.analysis.dataflow.rules import all_dataflow_rules
 from repro.analysis.graph.rules import all_graph_rules
-from repro.analysis.perf.rules import all_perf_rules
 
 __all__ = ["explain_rule", "explain_index", "explainable_rules", "rule_record"]
 
@@ -69,16 +68,6 @@ def rule_record(name: str) -> Optional[dict]:
                 "example_positive": rule.example_positive,
                 "example_negative": rule.example_negative,
             }
-    for rule in all_perf_rules():
-        if rule.name == name:
-            return {
-                "name": rule.name,
-                "kind": "perf",
-                "severity": rule.severity,
-                "description": rule.description,
-                "example_positive": rule.example_positive,
-                "example_negative": rule.example_negative,
-            }
     return None
 
 
@@ -87,7 +76,6 @@ def explainable_rules() -> List[str]:
     names.update(rule.name for rule in all_rules())
     names.update(rule.name for rule in all_graph_rules())
     names.update(rule.name for rule in all_dataflow_rules())
-    names.update(rule.name for rule in all_perf_rules())
     return sorted(names)
 
 
@@ -111,7 +99,6 @@ def explain_index() -> str:
         ),
         ("graph", [(r.name, r.description) for r in all_graph_rules()]),
         ("dataflow", [(r.name, r.description) for r in all_dataflow_rules()]),
-        ("perf", [(r.name, r.description) for r in all_perf_rules()]),
     ]
     lines: List[str] = []
     for pack, rules in packs:

@@ -11,7 +11,6 @@ evaluated by interprocedural rules — all cached so a one-file edit
 re-analyzes only the file plus its reverse-import closure.
 """
 
-from repro.analysis.graph.cache import DEFAULT_GRAPH_CACHE_NAME, GraphCache
 from repro.analysis.graph.callgraph import CallGraph
 from repro.analysis.graph.contract import (
     DEFAULT_CONTRACT_NAME,
@@ -46,8 +45,6 @@ from repro.analysis.graph.rules import (
 __all__ = [
     "CallGraph",
     "DEFAULT_CONTRACT_NAME",
-    "DEFAULT_GRAPH_CACHE_NAME",
-    "GraphCache",
     "GraphReport",
     "GraphRule",
     "ImportGraph",

@@ -13,11 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.cache import PROJECT_KEY, LintCache
 from repro.analysis.core import Finding
-from repro.analysis.graph.cache import GraphCache
 from repro.analysis.graph.callgraph import CallGraph
 from repro.analysis.graph.contract import LayerContract
-from repro.analysis.graph.extract import ModuleFacts, extract_facts
+from repro.analysis.graph.extract import (
+    EXTRACT_VERSION,
+    ModuleFacts,
+    extract_facts,
+)
 from repro.analysis.graph.imports import ImportGraph
 from repro.analysis.graph.rules import (
     all_graph_rules,
@@ -62,7 +66,7 @@ class GraphReport:
 def build_project(
     files: Dict[str, Tuple[str, str]],
     contract: Optional[LayerContract],
-    cache: Optional[GraphCache] = None,
+    cache: Optional[LintCache] = None,
 ) -> ProjectGraph:
     """Extract facts (through ``cache`` when given) and assemble graphs.
 
@@ -72,13 +76,17 @@ def build_project(
     facts: Dict[str, ModuleFacts] = {}
     for rel_path in sorted(files):
         source, digest = files[rel_path]
-        file_facts = (
-            cache.get_extraction(rel_path, digest) if cache is not None else None
+        stamp = f"{EXTRACT_VERSION}:{digest}"
+        raw = (
+            cache.get("extractions", rel_path, stamp)
+            if cache is not None else None
         )
-        if file_facts is None:
+        if raw is not None:
+            file_facts = ModuleFacts.from_dict(raw)  # type: ignore[arg-type]
+        else:
             file_facts = extract_facts(rel_path, source, source_roots)
             if cache is not None:
-                cache.put_extraction(rel_path, digest, file_facts)
+                cache.put("extractions", rel_path, stamp, file_facts.to_dict())
         facts[rel_path] = file_facts
     return ProjectGraph(facts, contract, source_roots)
 
@@ -98,14 +106,19 @@ def _dependency_digest(
         if graph.modules[dep] in digests
     )
     return stable_hash(
-        {"deps": closure_files, "contract": contract_digest, "rules": rules_fp}
+        {
+            "deps": closure_files,
+            "contract": contract_digest,
+            "rules": rules_fp,
+            "extract": EXTRACT_VERSION,
+        }
     )
 
 
 def analyze_project(
     files: Dict[str, Tuple[str, str]],
     contract: Optional[LayerContract],
-    cache: GraphCache,
+    cache: LintCache,
     project: Optional[ProjectGraph] = None,
 ) -> GraphReport:
     """Run every graph rule incrementally over ``files``.
@@ -140,7 +153,7 @@ def analyze_project(
         dep_digest = _dependency_digest(
             project, module, digests, contract_digest, rules_fp
         )
-        findings = cache.get_module_findings(rel_path, dep_digest)
+        findings = cache.get_findings("graph_modules", rel_path, dep_digest)
         if findings is None:
             report.files_reanalyzed += 1
             raw: List[Finding] = []
@@ -149,16 +162,17 @@ def analyze_project(
             findings, _suppressed = apply_pragmas(
                 sorted(raw), files[rel_path][0]
             )
-            cache.put_module_findings(rel_path, dep_digest, findings)
+            cache.put_findings("graph_modules", rel_path, dep_digest, findings)
         aggregate.extend(findings)
     project_key = stable_hash(
         {
             "files": sorted(digests.items()),
             "contract": contract_digest,
             "rules": rules_fp,
+            "extract": EXTRACT_VERSION,
         }
     )
-    project_findings = cache.get_project_findings(project_key)
+    project_findings = cache.get_findings("project", PROJECT_KEY, project_key)
     if project_findings is None:
         raw = []
         for rule in project_rules:
@@ -172,9 +186,9 @@ def analyze_project(
                 sorted(file_findings), files[rel_path][0]
             )
             project_findings.extend(kept)
-        cache.put_project_findings(project_key, project_findings)
+        cache.put_findings("project", PROJECT_KEY, project_key, project_findings)
     aggregate.extend(project_findings)
     report.findings = sorted(aggregate)
-    report.cache_hits = cache.module_hits
-    report.cache_misses = cache.module_misses
+    report.cache_hits = cache.hits["graph_modules"]
+    report.cache_misses = cache.misses["graph_modules"]
     return report

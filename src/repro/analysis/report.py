@@ -73,15 +73,6 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
             f"{result.dataflow_cache_misses} misses, "
             f"{result.dataflow_seconds:.2f}s)"
         )
-    if result.perf_enabled:
-        lines.append(
-            f"perf: {result.perf_modules} modules, "
-            f"{result.perf_functions} functions, "
-            f"{result.perf_files_reanalyzed} re-analyzed "
-            f"(cache {result.perf_cache_hits} hits / "
-            f"{result.perf_cache_misses} misses, "
-            f"{result.perf_seconds:.2f}s)"
-        )
     return "\n".join(lines)
 
 
@@ -128,14 +119,5 @@ def render_json(result: LintResult) -> str:
             "cache_hits": result.dataflow_cache_hits,
             "cache_misses": result.dataflow_cache_misses,
             "fingerprint": result.dataflow_fingerprint,
-        }
-    if result.perf_enabled:
-        payload["perf"] = {
-            "modules": result.perf_modules,
-            "functions": result.perf_functions,
-            "files_reanalyzed": result.perf_files_reanalyzed,
-            "cache_hits": result.perf_cache_hits,
-            "cache_misses": result.perf_cache_misses,
-            "fingerprint": result.perf_fingerprint,
         }
     return json.dumps(payload, indent=2, sort_keys=True)

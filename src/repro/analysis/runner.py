@@ -3,11 +3,11 @@
 Per file the pipeline is: content hash -> cache probe -> (parse + run
 every applicable rule) -> pragma filter -> cache store.  With graph
 analysis enabled (``--graph``, implied by ``--strict``) a second phase
-assembles the whole-program view and runs the interprocedural rules
-through their own dependency-aware cache.  Baseline suppression and
-``--select``/``--ignore`` scoping happen once at the end, over the
-aggregate, so editing ``.repro-lint.json`` or narrowing a CI run
-re-ranks results without invalidating either cache.
+assembles the whole-program view and runs the interprocedural rules,
+cached per dependency digest in the same lint cache.  Baseline
+suppression and ``--select``/``--ignore`` scoping happen once at the
+end, over the aggregate, so editing ``.repro-lint.json`` or narrowing a
+CI run re-ranks results without invalidating the cache.
 
 The runner is instrumented like every other subsystem: a ``lint.run``
 span wraps the sweep, per-file work runs under ``lint.file`` spans, the
@@ -33,7 +33,7 @@ from repro.analysis.baseline import (
     save_baseline,
     updated_entries,
 )
-from repro.analysis.cache import DEFAULT_CACHE_NAME, FindingsCache, content_digest
+from repro.analysis.cache import DEFAULT_CACHE_NAME, LintCache, content_digest
 from repro.analysis.core import (
     FileContext,
     Finding,
@@ -41,27 +41,14 @@ from repro.analysis.core import (
     rule_names,
     rules_fingerprint,
 )
-from repro.analysis.dataflow import (
-    DEFAULT_DATAFLOW_CACHE_NAME,
-    DataflowCache,
-    analyze_dataflow,
-    dataflow_rule_names,
-)
+from repro.analysis.dataflow import analyze_dataflow, dataflow_rule_names
 from repro.analysis.graph import (
     DEFAULT_CONTRACT_NAME,
-    DEFAULT_GRAPH_CACHE_NAME,
-    GraphCache,
     ProjectGraph,
     analyze_project,
     build_project,
     graph_rule_names,
     load_contract,
-)
-from repro.analysis.perf import (
-    DEFAULT_PERF_CACHE_NAME,
-    PerfCache,
-    analyze_perf,
-    perf_rule_names,
 )
 from repro.analysis.pragmas import apply_pragmas
 from repro.errors import ConfigError
@@ -86,13 +73,6 @@ from repro.obs.instrument import (
     LINT_FILES,
     LINT_FINDINGS,
     LINT_RUN_SECONDS,
-    PERF_CACHE_HITS,
-    PERF_CACHE_MISSES,
-    PERF_FILES_REANALYZED,
-    PERF_FINDINGS,
-    PERF_FUNCTIONS,
-    PERF_MODULES,
-    PERF_RUN_SECONDS,
 )
 from repro.obs.logging import get_logger
 from repro.obs.tracing import trace
@@ -117,7 +97,6 @@ def known_rule_names() -> List[str]:
         set(rule_names())
         | set(graph_rule_names())
         | set(dataflow_rule_names())
-        | set(perf_rule_names())
         | {"syntax-error"}
     )
 
@@ -133,11 +112,7 @@ class LintConfig:
     use_cache: bool = True
     graph: bool = False  # run whole-program rules too
     dataflow: bool = False  # run the CFG/taint rule pack too
-    perf: bool = False  # run the cost-model perf rule pack too
     arch_path: Optional[str] = None  # default: <root>/.repro-arch.toml
-    graph_cache_path: Optional[str] = None  # default: <root>/.repro-graph-cache.json
-    dataflow_cache_path: Optional[str] = None  # default: <root>/.repro-dataflow-cache.json
-    perf_cache_path: Optional[str] = None  # default: <root>/.repro-perf-cache.json
     select: Optional[Sequence[str]] = None  # keep only these rules
     ignore: Sequence[str] = ()  # drop these rules
     #: Rewrite the baseline ledger in place: drop entries stale for this
@@ -162,27 +137,6 @@ class LintConfig:
     def resolved_arch(self) -> str:
         return self.arch_path or os.path.join(
             self.resolved_root(), DEFAULT_CONTRACT_NAME
-        )
-
-    def resolved_graph_cache(self) -> Optional[str]:
-        if not self.use_cache:
-            return None
-        return self.graph_cache_path or os.path.join(
-            self.resolved_root(), DEFAULT_GRAPH_CACHE_NAME
-        )
-
-    def resolved_dataflow_cache(self) -> Optional[str]:
-        if not self.use_cache:
-            return None
-        return self.dataflow_cache_path or os.path.join(
-            self.resolved_root(), DEFAULT_DATAFLOW_CACHE_NAME
-        )
-
-    def resolved_perf_cache(self) -> Optional[str]:
-        if not self.use_cache:
-            return None
-        return self.perf_cache_path or os.path.join(
-            self.resolved_root(), DEFAULT_PERF_CACHE_NAME
         )
 
     def rule_filter(self) -> "RuleFilter":
@@ -247,15 +201,6 @@ class LintResult:
     dataflow_cache_misses: int = 0
     dataflow_seconds: float = 0.0
     dataflow_fingerprint: str = ""
-    # -- perf phase (zeros when the phase did not run) ----------------
-    perf_enabled: bool = False
-    perf_modules: int = 0
-    perf_functions: int = 0
-    perf_files_reanalyzed: int = 0
-    perf_cache_hits: int = 0
-    perf_cache_misses: int = 0
-    perf_seconds: float = 0.0
-    perf_fingerprint: str = ""
     #: Baseline entries that matched findings but whose reason is still
     #: the ``--baseline-update`` placeholder — tracked debt, unjustified.
     todo_baseline: List[BaselineEntry] = field(default_factory=list)
@@ -348,11 +293,10 @@ def lint_source(source: str, rel_path: str) -> List[Finding]:
 
 
 def _run_graph_phase(
-    config: LintConfig,
     sources: Dict[str, Tuple[str, str]],
     result: LintResult,
     project: "ProjectGraph",
-    cache: GraphCache,
+    cache: LintCache,
 ) -> List[Finding]:
     """Whole-program phase: run the interprocedural graph rules."""
     contract = project.contract
@@ -379,17 +323,15 @@ def _run_graph_phase(
 
 
 def _run_dataflow_phase(
-    config: LintConfig,
     sources: Dict[str, Tuple[str, str]],
     result: LintResult,
     project: "ProjectGraph",
+    cache: LintCache,
 ) -> List[Finding]:
     """CFG/taint phase: run the dataflow rule pack incrementally."""
-    cache = DataflowCache(config.resolved_dataflow_cache())
     started = time.perf_counter()
     with trace("lint.dataflow", files=len(sources)):
         report = analyze_dataflow(sources, project, cache)
-        cache.save()
     result.dataflow_enabled = True
     result.dataflow_modules = report.modules
     result.dataflow_functions = report.functions_analyzed
@@ -408,77 +350,41 @@ def _run_dataflow_phase(
     return report.findings
 
 
-def _run_perf_phase(
-    config: LintConfig,
-    sources: Dict[str, Tuple[str, str]],
-    result: LintResult,
-    project: "ProjectGraph",
-) -> List[Finding]:
-    """Cost-model phase: run the perf rule pack incrementally."""
-    cache = PerfCache(config.resolved_perf_cache())
-    started = time.perf_counter()
-    with trace("lint.perf", files=len(sources)):
-        report = analyze_perf(sources, project, cache)
-        cache.save()
-    result.perf_enabled = True
-    result.perf_modules = report.modules
-    result.perf_functions = report.functions_analyzed
-    result.perf_files_reanalyzed = report.files_reanalyzed
-    result.perf_cache_hits = report.cache_hits
-    result.perf_cache_misses = report.cache_misses
-    result.perf_seconds = time.perf_counter() - started
-    result.perf_fingerprint = report.fingerprint
-    obs_metrics.inc(PERF_MODULES, report.modules)
-    obs_metrics.inc(PERF_FUNCTIONS, report.functions_analyzed)
-    obs_metrics.inc(PERF_FILES_REANALYZED, report.files_reanalyzed)
-    obs_metrics.inc(PERF_CACHE_HITS, report.cache_hits)
-    obs_metrics.inc(PERF_CACHE_MISSES, report.cache_misses)
-    obs_metrics.inc(PERF_FINDINGS, len(report.findings))
-    obs_metrics.observe(PERF_RUN_SECONDS, result.perf_seconds)
-    return report.findings
-
-
 def run_lint(config: LintConfig) -> LintResult:
     """Lint every file under ``config.paths``; apply caches and baseline."""
     start = time.perf_counter()
     root = config.resolved_root()
     rule_filter = config.rule_filter()
     baseline = load_baseline(config.resolved_baseline())
-    cache = FindingsCache(config.resolved_cache(), rules_fingerprint())
+    cache = LintCache(config.resolved_cache())
+    fingerprint = rules_fingerprint()
     result = LintResult()
     aggregate: List[Finding] = []
     with trace("lint.run", root=root, paths=len(config.paths)):
         sources = collect_sources(root, config.paths)
         for rel_path, (source, digest) in sources.items():
-            findings = cache.get(rel_path, digest)
+            stamp = f"{fingerprint}:{digest}"
+            findings = cache.get_findings("files", rel_path, stamp)
             if findings is None:
                 with trace("lint.file", path=rel_path):
                     findings = lint_source(source, rel_path)
-                cache.put(rel_path, digest, findings)
+                cache.put_findings("files", rel_path, stamp, findings)
             aggregate.extend(findings)
             result.files_scanned += 1
-        cache.save()
-        if config.graph or config.dataflow or config.perf:
-            # The whole-program phases read the same built project;
-            # assemble it once (extraction goes through the graph cache).
-            graph_cache = GraphCache(config.resolved_graph_cache())
+        if config.graph or config.dataflow:
+            # Both whole-program phases read the same built project;
+            # assemble it once (extraction goes through the cache).
             contract = load_contract(config.resolved_arch())
-            project = build_project(sources, contract, graph_cache)
+            project = build_project(sources, contract, cache)
             if config.graph:
                 aggregate.extend(
-                    _run_graph_phase(
-                        config, sources, result, project, graph_cache
-                    )
+                    _run_graph_phase(sources, result, project, cache)
                 )
             if config.dataflow:
                 aggregate.extend(
-                    _run_dataflow_phase(config, sources, result, project)
+                    _run_dataflow_phase(sources, result, project, cache)
                 )
-            if config.perf:
-                aggregate.extend(
-                    _run_perf_phase(config, sources, result, project)
-                )
-            graph_cache.save()
+        cache.save()
     if not rule_filter.is_noop:
         aggregate = [f for f in aggregate if rule_filter.active(f.rule)]
     # Baseline-exempt rules bypass the suppression ledger entirely:
@@ -498,8 +404,6 @@ def run_lint(config: LintConfig) -> LintResult:
         skipped_rules |= set(graph_rule_names())
     if not config.dataflow:
         skipped_rules |= set(dataflow_rule_names())
-    if not config.perf:
-        skipped_rules |= set(perf_rule_names())
 
     def _actionable(entries: List[BaselineEntry]) -> List[BaselineEntry]:
         return [
@@ -531,26 +435,24 @@ def run_lint(config: LintConfig) -> LintResult:
     result.findings = kept
     result.baseline_suppressed = suppressed
     result.unused_baseline = unused
-    result.cache_hits = cache.hits
-    result.cache_misses = cache.misses
+    result.cache_hits = cache.hits["files"]
+    result.cache_misses = cache.misses["files"]
     result.elapsed_seconds = time.perf_counter() - start
     obs_metrics.inc(LINT_FILES, result.files_scanned)
-    obs_metrics.inc(LINT_CACHE_HITS, cache.hits)
-    obs_metrics.inc(LINT_CACHE_MISSES, cache.misses)
+    obs_metrics.inc(LINT_CACHE_HITS, result.cache_hits)
+    obs_metrics.inc(LINT_CACHE_MISSES, result.cache_misses)
     obs_metrics.inc(LINT_FINDINGS, len(kept))
     obs_metrics.observe(LINT_RUN_SECONDS, result.elapsed_seconds)
     _log.info(
         "lint.completed",
         files=result.files_scanned,
         findings=len(kept),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
+        cache_hits=result.cache_hits,
+        cache_misses=result.cache_misses,
         graph=result.graph_enabled,
         graph_reanalyzed=result.graph_files_reanalyzed,
         dataflow=result.dataflow_enabled,
         dataflow_reanalyzed=result.dataflow_files_reanalyzed,
-        perf=result.perf_enabled,
-        perf_reanalyzed=result.perf_files_reanalyzed,
         seconds=round(result.elapsed_seconds, 4),
     )
     return result

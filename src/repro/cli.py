@@ -16,12 +16,10 @@ Subcommands::
     python -m repro bench    [--smoke] [--select NAMES] [--check]
                              [--results DIR] [--no-record] [--json]
     python -m repro lint     [PATHS ...] [--strict] [--graph] [--dataflow]
-                             [--perf] [--json] [--select RULES]
-                             [--ignore RULES] [--explain [RULE]]
-                             [--baseline-update]
+                             [--json] [--select RULES] [--ignore RULES]
+                             [--explain [RULE]] [--baseline-update]
     python -m repro graph    [PATHS ...] [--dot | --json] [--out FILE]
                              [--cfg FUNC | --cfg path.py:FUNC]
-    python -m repro perf-audit [PATHS ...] [--trace FILE] [--json] [--top N]
 
 Global flags (before the subcommand)::
 
@@ -473,12 +471,10 @@ def _cmd_lint(args) -> int:
         baseline_path=args.baseline,
         cache_path=args.cache,
         use_cache=not args.no_cache,
-        # Graph, dataflow, and perf rules guard the architecture, the
-        # concurrency/resource invariants, and the hot paths, so strict
-        # mode implies all three.
+        # Graph and dataflow rules guard the architecture and the
+        # concurrency/resource invariants, so strict mode implies both.
         graph=(args.graph or args.strict) and not args.no_graph,
         dataflow=(args.dataflow or args.strict) and not args.no_dataflow,
-        perf=(args.perf or args.strict) and not args.no_perf,
         arch_path=args.arch,
         select=_parse_rule_list(args.select),
         ignore=_parse_rule_list(args.ignore) or (),
@@ -490,69 +486,6 @@ def _cmd_lint(args) -> int:
     else:
         print(render_text(result, verbose=args.verbose))
     return result.exit_code(strict=args.strict)
-
-
-def _cmd_perf_audit(args) -> int:
-    from repro.analysis import collect_sources
-    from repro.analysis.graph import build_project, load_contract
-    from repro.analysis.perf import (
-        DEFAULT_PERF_CACHE_NAME,
-        PerfCache,
-        analyze_perf,
-        audit_findings,
-        render_audit_json,
-        render_audit_text,
-    )
-    from repro.obs import timeseries
-    from repro.obs.analyze import analyze_trace, load_trace
-
-    root = os.path.abspath(args.root)
-    contract = load_contract(
-        args.arch or os.path.join(root, ".repro-arch.toml")
-    )
-    sources = collect_sources(root, args.paths)
-    project = build_project(sources, contract)
-    cache = PerfCache(os.path.join(root, DEFAULT_PERF_CACHE_NAME))
-    report = analyze_perf(sources, project, cache)
-    cache.save()
-    trace_report = None
-    if args.trace_file:
-        spans = load_trace(args.trace_file)
-        trace_report = analyze_trace(spans)
-    audit = audit_findings(
-        report.findings,
-        sources,
-        source_roots=project.source_roots,
-        trace_report=trace_report,
-    )
-    # The trajectory join lives here, not in the analysis layer: the
-    # layer contract keeps repro.analysis off repro.obs.timeseries.
-    trajectory = timeseries.load_trajectory(args.results, "lint.perf")
-    trajectory_note = None
-    if trajectory:
-        latest = trajectory[-1]
-        cold = latest.metrics.get("cold_seconds")
-        trajectory_note = {
-            "bench": "lint.perf",
-            "points": len(trajectory),
-            "latest_mode": latest.mode,
-            "latest_cold_seconds": cold,
-        }
-    if args.json:
-        payload = render_audit_json(audit, top=args.top)
-        if trajectory_note:
-            payload["trajectory"] = trajectory_note
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    else:
-        print(render_audit_text(audit, top=args.top))
-        if trajectory_note:
-            print(
-                f"trajectory: lint.perf has {trajectory_note['points']} "
-                f"recorded point(s), latest cold sweep "
-                f"{trajectory_note['latest_cold_seconds']}s "
-                f"({trajectory_note['latest_mode']})"
-            )
-    return 0
 
 
 def _cmd_graph(args) -> int:
@@ -790,9 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--baseline", default=None, metavar="FILE",
                       help="suppression ledger (default ROOT/.repro-lint.json)")
     lint.add_argument("--cache", default=None, metavar="FILE",
-                      help="findings cache (default ROOT/.repro-lint-cache.json)")
+                      help="lint cache (default ROOT/.repro-lint-cache.json)")
     lint.add_argument("--no-cache", action="store_true",
-                      help="ignore and do not write the findings cache")
+                      help="ignore and do not write the lint cache")
     lint.add_argument("--graph", action="store_true",
                       help="also run whole-program graph rules "
                            "(implied by --strict)")
@@ -803,11 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(implied by --strict)")
     lint.add_argument("--no-dataflow", action="store_true",
                       help="skip dataflow rules even under --strict")
-    lint.add_argument("--perf", action="store_true",
-                      help="also run cost-model perf rules "
-                           "(implied by --strict)")
-    lint.add_argument("--no-perf", action="store_true",
-                      help="skip perf rules even under --strict")
     lint.add_argument("--explain", nargs="?", const="", default=None,
                       metavar="RULE",
                       help="print what RULE checks, with a minimal "
@@ -854,38 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write to FILE instead of stdout")
     graph.set_defaults(func=_cmd_graph)
 
-    perf_audit = sub.add_parser(
-        "perf-audit",
-        help="rank perf-lint findings by measured profile self-time",
-    )
-    perf_audit.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    perf_audit.add_argument(
-        "--root", default=".",
-        help="project root: paths and the contract resolve against it",
-    )
-    # dest avoids clashing with the global --trace (span export).
-    perf_audit.add_argument(
-        "--trace", dest="trace_file", default=None, metavar="FILE",
-        help="JSONL trace to join against: findings in functions the "
-             "profile never saw are demoted to info",
-    )
-    perf_audit.add_argument(
-        "--results", default=os.path.join("benchmarks", "results"),
-        metavar="DIR",
-        help="trajectory location for the lint.perf context line "
-             "(default benchmarks/results)",
-    )
-    perf_audit.add_argument("--top", type=int, default=0, metavar="N",
-                            help="show only the N hottest findings")
-    perf_audit.add_argument("--json", action="store_true",
-                            help="emit machine-readable JSON")
-    perf_audit.add_argument("--arch", default=None, metavar="FILE",
-                            help="layer contract "
-                                 "(default ROOT/.repro-arch.toml)")
-    perf_audit.set_defaults(func=_cmd_perf_audit)
     return parser
 
 

@@ -182,7 +182,7 @@ class FlatIndex:
         results: List[List[Tuple[str, float]]] = []
         # Per-row gemv on purpose: one gemm would break bit-parity with
         # query() (see docstring).
-        for row in vectors:  # repro: noqa[python-loop-over-array]
+        for row in vectors:
             similarities = matrix @ l2_normalize(row)
             top = top_k(similarities, id_rank, k)
             results.append([(ids[i], float(similarities[i])) for i in top])

@@ -178,14 +178,6 @@ DATAFLOW_CACHE_MISSES = "analysis.dataflow.cache_misses"
 DATAFLOW_FINDINGS = "analysis.dataflow.findings"
 DATAFLOW_RUN_SECONDS = "analysis.dataflow.run_seconds"
 
-PERF_MODULES = "analysis.perf.modules"
-PERF_FUNCTIONS = "analysis.perf.functions"
-PERF_FILES_REANALYZED = "analysis.perf.files_reanalyzed"
-PERF_CACHE_HITS = "analysis.perf.cache_hits"
-PERF_CACHE_MISSES = "analysis.perf.cache_misses"
-PERF_FINDINGS = "analysis.perf.findings"
-PERF_RUN_SECONDS = "analysis.perf.run_seconds"
-
 
 def timed(
     histogram_name: str,

@@ -65,7 +65,7 @@ def interpolate_losses(
     # add over every tensor.  The loop itself stays — each point needs
     # a forward pass of the probe model, which dominates.
     delta = {name: state_b[name] - state_a[name] for name in state_a}
-    for i, t in enumerate(ts.tolist()):  # repro: noqa[python-loop-over-array]
+    for i, t in enumerate(ts.tolist()):
         mixed = {name: state_a[name] + t * delta[name] for name in state_a}
         probe.load_state_dict(mixed)
         losses[i] = float(

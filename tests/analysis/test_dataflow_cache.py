@@ -1,6 +1,7 @@
 """Incremental dataflow caching: exact reverse-closure invalidation."""
 
-from repro.analysis.dataflow import DataflowCache, analyze_dataflow
+from repro.analysis.cache import LintCache
+from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.dataflow import engine as engine_mod
 from repro.analysis.graph import build_project
 from repro.utils.hashing import stable_hash
@@ -29,7 +30,7 @@ def file_map(files):
 def sweep(tmp_path, files):
     mapped = file_map(files)
     project = build_project(mapped, None)
-    cache = DataflowCache(tmp_path / "df-cache.json")
+    cache = LintCache(tmp_path / "df-cache.json")
     report = analyze_dataflow(mapped, project, cache)
     cache.save()
     return report

@@ -5,7 +5,8 @@ Each fixture is a tiny in-memory project run through the real engine
 end-to-end behavior of ``repro lint --dataflow``, pragmas included.
 """
 
-from repro.analysis.dataflow import DataflowCache, analyze_dataflow
+from repro.analysis.cache import LintCache
+from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.graph import build_project
 from repro.utils.hashing import stable_hash
 
@@ -15,7 +16,7 @@ def run_dataflow(tmp_path, files):
         rel: (source, stable_hash(source)) for rel, source in files.items()
     }
     project = build_project(file_map, None)
-    cache = DataflowCache(tmp_path / "df-cache.json")
+    cache = LintCache(tmp_path / "df-cache.json")
     return analyze_dataflow(file_map, project, cache)
 
 

@@ -1,16 +1,10 @@
-"""The worklist solver and its two classic instances."""
+"""The forward worklist solver, driven by a small in-test analysis."""
 
 import ast
 
 import pytest
 
-from repro.analysis.dataflow import (
-    Analysis,
-    build_cfg,
-    solve,
-    solve_liveness,
-    solve_reaching,
-)
+from repro.analysis.dataflow import Analysis, build_cfg, solve
 
 
 def cfg_of(source):
@@ -22,18 +16,51 @@ def cfg_of(source):
     return build_cfg(fn)
 
 
+class _Reaching(Analysis):
+    """Which assignment lines of each name may reach a program point.
+
+    Facts are frozensets of ``(name, line)``; an assignment kills every
+    earlier pair for the names it binds.  Parameters reach from the
+    ``def`` line through the boundary fact.
+    """
+
+    def bottom(self, cfg):
+        return frozenset()
+
+    def boundary(self, cfg):
+        line = cfg.node.lineno
+        return frozenset((arg.arg, line) for arg in cfg.node.args.args)
+
+    def join(self, left, right):
+        return left | right
+
+    def transfer(self, element, fact):
+        if not isinstance(element.node, (ast.Assign, ast.AugAssign)):
+            return fact
+        bound = {
+            node.id
+            for node in ast.walk(element.node)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        survivors = {(name, line) for name, line in fact if name not in bound}
+        return frozenset(
+            survivors | {(name, element.lineno) for name in bound}
+        )
+
+
 def reaching_before_return(cfg):
-    """Definition lines reaching the return statement, per name."""
-    analysis, facts = solve_reaching(cfg)
+    """Assignment lines reaching the return statement, per name."""
+    analysis = _Reaching()
+    facts = solve(cfg, analysis)
     for block in cfg.blocks:
         for position, element in enumerate(block.elements):
             if isinstance(element.node, ast.Return):
-                fact = analysis.at_element(
-                    cfg, facts, analysis, block, position
-                )
+                fact = facts[block.index][0]
+                for earlier in block.elements[:position]:
+                    fact = analysis.transfer(earlier, fact)
                 out = {}
-                for definition in fact:
-                    out.setdefault(definition.name, set()).add(definition.line)
+                for name, line in fact:
+                    out.setdefault(name, set()).add(line)
                 return out
     raise AssertionError("no return statement")
 
@@ -64,50 +91,20 @@ def test_reaching_loop_carried_definition_survives_the_back_edge():
         "        n = n - 1\n"
         "    return total\n"
     )
-    # Both the init and the loop-body rebinding reach the return.
-    assert reaching_before_return(cfg)["total"] == {2, 4}
+    # Both the init and the loop-body rebinding reach the return; the
+    # body's pair can only arrive over the back edge.
+    facts = reaching_before_return(cfg)
+    assert facts["total"] == {2, 4}
+    assert facts["n"] == {1, 5}
 
 
 def test_parameters_reach_as_boundary_definitions():
     cfg = cfg_of("def fn(seed):\n    return seed\n")
-    assert 1 in reaching_before_return(cfg)["seed"]
-
-
-def liveness_at_entry(cfg):
-    facts = solve_liveness(cfg)
-    # Backward analysis: facts_out of the entry block = live at entry.
-    return facts[cfg.entry][1]
-
-
-def test_liveness_read_before_write_is_live_at_entry():
-    cfg = cfg_of("def fn():\n    b = a + 1\n    return b\n")
-    live = liveness_at_entry(cfg)
-    assert "a" in live
-    assert "b" not in live
-
-
-def test_liveness_dead_store_is_not_live():
-    cfg = cfg_of("def fn(a):\n    unused = a\n    return a\n")
-    # 'unused' is never read afterwards, so it is live nowhere.
-    facts = solve_liveness(cfg)
-    assert all("unused" not in entry and "unused" not in exit_
-               for exit_, entry in facts.values())
-
-
-def test_liveness_use_in_loop_condition_stays_live_around_the_loop():
-    cfg = cfg_of(
-        "def fn(n):\n"
-        "    while n > 0:\n"
-        "        n = n - 1\n"
-        "    return n\n"
-    )
-    assert "n" in liveness_at_entry(cfg)
+    assert reaching_before_return(cfg)["seed"] == {1}
 
 
 class _NonMonotone(Analysis):
     """Oscillates forever; the solver must abort, not hang."""
-
-    direction = "forward"
 
     def bottom(self, cfg):
         return 0

@@ -9,7 +9,8 @@ drift from the behavior it describes.
 import pytest
 
 from repro.analysis.core import all_rules
-from repro.analysis.dataflow import DataflowCache, all_dataflow_rules, analyze_dataflow
+from repro.analysis.cache import LintCache
+from repro.analysis.dataflow import all_dataflow_rules, analyze_dataflow
 from repro.analysis.explain import (
     explain_index,
     explain_rule,
@@ -18,7 +19,6 @@ from repro.analysis.explain import (
 )
 from repro.analysis.graph import build_project
 from repro.analysis.graph.rules import all_graph_rules
-from repro.analysis.perf import PerfCache, all_perf_rules, analyze_perf
 from repro.analysis.runner import lint_source
 from repro.utils.hashing import stable_hash
 
@@ -40,8 +40,6 @@ def test_every_rule_is_explainable():
     for rule in all_graph_rules():
         assert rule.name in names
     for rule in all_dataflow_rules():
-        assert rule.name in names
-    for rule in all_perf_rules():
         assert rule.name in names
     assert len(names) >= 15
 
@@ -84,7 +82,7 @@ def test_per_file_rule_examples_are_live(rule):
 def _run_dataflow_example(tmp_path, source):
     files = {"src/pkg/example.py": (source, stable_hash(source))}
     project = build_project(files, None)
-    cache = DataflowCache(tmp_path / "df-cache.json")
+    cache = LintCache(tmp_path / "df-cache.json")
     return {
         f.rule
         for f in analyze_dataflow(files, project, cache).findings
@@ -107,32 +105,9 @@ def test_dataflow_rule_examples_are_live(rule, tmp_path):
     )
 
 
-def _run_perf_example(tmp_path, source):
-    files = {"src/pkg/example.py": (source, stable_hash(source))}
-    project = build_project(files, None)
-    cache = PerfCache(tmp_path / "perf-cache.json")
-    return {f.rule for f in analyze_perf(files, project, cache).findings}
-
-
-@pytest.mark.parametrize(
-    "rule", all_perf_rules(), ids=lambda rule: rule.name
-)
-def test_perf_rule_examples_are_live(rule, tmp_path):
-    assert rule.example_positive, f"{rule.name} has no positive example"
-    assert rule.example_negative, f"{rule.name} has no negative example"
-    fired = _run_perf_example(tmp_path, rule.example_positive)
-    assert rule.name in fired, (
-        f"positive example of {rule.name} does not fire it (got {fired})"
-    )
-    silent = _run_perf_example(tmp_path, rule.example_negative)
-    assert rule.name not in silent, (
-        f"negative example of {rule.name} still fires it"
-    )
-
-
 def test_index_lists_every_rule_grouped_by_pack():
     index = explain_index()
-    for pack in ("per-file (ast):", "graph:", "dataflow:", "perf:"):
+    for pack in ("per-file (ast):", "graph:", "dataflow:"):
         assert pack in index
     for name in explainable_rules():
         assert name in index

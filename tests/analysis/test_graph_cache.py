@@ -3,7 +3,8 @@ the edited file plus its reverse-import closure."""
 
 import json
 
-from repro.analysis.graph import GraphCache, analyze_project
+from repro.analysis.cache import LintCache
+from repro.analysis.graph import analyze_project
 from repro.utils.hashing import stable_hash
 
 CHAIN = {
@@ -20,7 +21,7 @@ def as_files(tree):
 
 def run(tmp_path, tree):
     """One analyze_project round through the persistent cache file."""
-    cache = GraphCache(str(tmp_path / "cache.json"))
+    cache = LintCache(str(tmp_path / "cache.json"))
     report = analyze_project(as_files(tree), None, cache)
     cache.save()
     return report, cache
@@ -29,17 +30,17 @@ def run(tmp_path, tree):
 def test_cold_run_analyzes_everything(tmp_path):
     report, cache = run(tmp_path, CHAIN)
     assert report.files_reanalyzed == len(CHAIN)
-    assert cache.module_misses == len(CHAIN)
-    assert cache.extraction_misses == len(CHAIN)
+    assert cache.misses["graph_modules"] == len(CHAIN)
+    assert cache.misses["extractions"] == len(CHAIN)
 
 
 def test_warm_run_replays_entirely_from_cache(tmp_path):
     run(tmp_path, CHAIN)
     report, cache = run(tmp_path, CHAIN)
     assert report.files_reanalyzed == 0
-    assert cache.module_hits == len(CHAIN)
-    assert cache.extraction_hits == len(CHAIN)
-    assert cache.extraction_misses == 0
+    assert cache.hits["graph_modules"] == len(CHAIN)
+    assert cache.hits["extractions"] == len(CHAIN)
+    assert cache.misses["extractions"] == 0
 
 
 def test_edit_invalidates_only_the_reverse_import_closure(tmp_path):
@@ -49,8 +50,8 @@ def test_edit_invalidates_only_the_reverse_import_closure(tmp_path):
     report, cache = run(tmp_path, edited)
     # base + mid + app re-analyze; loner replays from cache.
     assert report.files_reanalyzed == 3
-    assert cache.module_hits == 1
-    assert cache.extraction_misses == 1  # only base re-parses
+    assert cache.hits["graph_modules"] == 1
+    assert cache.misses["extractions"] == 1  # only base re-parses
 
 
 def test_editing_a_leaf_invalidates_only_itself(tmp_path):
@@ -99,16 +100,16 @@ def test_deleted_files_are_pruned_from_the_cache(tmp_path):
     run(tmp_path, CHAIN)
     smaller = {k: v for k, v in CHAIN.items() if "loner" not in k}
     run(tmp_path, smaller)
-    payload = json.loads((tmp_path / "cache.json").read_text())
-    assert "src/pkg/loner.py" not in payload["extractions"]
-    assert "src/pkg/loner.py" not in payload["module_findings"]
+    tables = json.loads((tmp_path / "cache.json").read_text())["tables"]
+    assert "src/pkg/loner.py" not in tables["extractions"]
+    assert "src/pkg/loner.py" not in tables["graph_modules"]
 
 
 def test_format_version_mismatch_discards_the_cache(tmp_path):
     run(tmp_path, CHAIN)
     path = tmp_path / "cache.json"
     payload = json.loads(path.read_text())
-    payload["extract_version"] = -1
+    payload["version"] = -1
     path.write_text(json.dumps(payload))
     report, _cache = run(tmp_path, CHAIN)
     assert report.files_reanalyzed == len(CHAIN)
@@ -121,7 +122,7 @@ def test_corrupt_cache_file_degrades_to_a_cold_run(tmp_path):
 
 
 def test_disabled_persistence_still_analyzes(tmp_path):
-    cache = GraphCache(None)
+    cache = LintCache(None)
     report = analyze_project(as_files(CHAIN), None, cache)
     cache.save()  # must be a no-op, not an error
     assert report.modules == len(CHAIN)

@@ -1,6 +1,7 @@
 """The interprocedural graph rules, positive and negative cases."""
 
-from repro.analysis.graph import GraphCache, analyze_project, load_contract
+from repro.analysis.cache import LintCache
+from repro.analysis.graph import analyze_project, load_contract
 from repro.utils.hashing import stable_hash
 
 LAYERED = """
@@ -25,7 +26,7 @@ def run_rules(tmp_path, files, contract_text=None):
         arch = tmp_path / "arch.toml"
         arch.write_text(contract_text, encoding="utf-8")
         contract = load_contract(arch)
-    cache = GraphCache(tmp_path / "graph-cache.json")
+    cache = LintCache(tmp_path / "graph-cache.json")
     file_map = {
         rel: (source, stable_hash(source)) for rel, source in files.items()
     }

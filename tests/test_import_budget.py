@@ -3,10 +3,9 @@
 ``repro serve`` pays every module its import graph pulls in before the
 first request.  scipy (``scipy.stats`` alone is ~0.5 s) and networkx
 (~18 MiB of RSS) are needed only by version recovery and the version
-graph, and ``repro.analysis`` only by the lint, graph and perf-audit
-commands, so none of them may load on the way to a server -- neither
-at import nor when a snapshot opens a lake that carries dataset
-lineage.
+graph, and ``repro.analysis`` only by the lint and graph commands, so
+none of them may load on the way to a server -- neither at import nor
+when a snapshot opens a lake that carries dataset lineage.
 """
 
 import json
