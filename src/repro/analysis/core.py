@@ -150,10 +150,6 @@ class FileContext:
         return self.rel_path.endswith(CLI_SUFFIX)
 
     @property
-    def is_test(self) -> bool:
-        return self.rel_path.startswith("tests/")
-
-    @property
     def is_benchmark(self) -> bool:
         return self.rel_path.startswith("benchmarks/")
 

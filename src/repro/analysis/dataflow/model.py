@@ -203,7 +203,3 @@ class ModelIndex:
             if model is not None and qualname in model.functions:
                 return model.functions[qualname]
         return None
-
-    @property
-    def parsed_count(self) -> int:
-        return len(self._models)

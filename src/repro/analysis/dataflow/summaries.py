@@ -98,13 +98,6 @@ class GlobalEffects:
         #: attribute stores — each one races even on its own.
         self.rmw = rmw
 
-    def merge(self, other: "GlobalEffects") -> "GlobalEffects":
-        return GlobalEffects(
-            self.reads | other.reads,
-            self.writes | other.writes,
-            self.rmw | other.rmw,
-        )
-
 
 EMPTY_EFFECTS = GlobalEffects(frozenset(), frozenset(), frozenset())
 
@@ -258,13 +251,6 @@ class SummaryIndex:
         effects = _function_effects(model, candidates)
         self._effects[fq] = effects
         return effects
-
-    def merged_effects(self, roots: FrozenSet[str]) -> GlobalEffects:
-        """Union of effects over a set of functions (a task's reach)."""
-        merged = EMPTY_EFFECTS
-        for fq in sorted(roots):
-            merged = merged.merge(self.global_effects(fq))
-        return merged
 
 
 def _summary_from_run(run: TaintRun) -> TaintSummary:

@@ -155,14 +155,6 @@ class TaintSummary:
     param_to_return: FrozenSet[str] = frozenset()
     sink_params: FrozenSet[str] = frozenset()
 
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            not self.returns_sources
-            and not self.param_to_return
-            and not self.sink_params
-        )
-
 
 EMPTY_SUMMARY = TaintSummary()
 

@@ -22,7 +22,7 @@ cache can therefore never serve a stale interprocedural verdict.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.graph.extract import FunctionFacts
 from repro.analysis.graph.imports import ImportGraph
@@ -126,35 +126,3 @@ class CallGraph:
             seen.add(node)
             pending.extend(self.callees(node))
         return frozenset(seen)
-
-    def paths_to(self, root: str, target: str, limit: int = 6) -> List[str]:
-        """One shortest call chain ``root -> ... -> target`` (BFS)."""
-        if root == target:
-            return [root]
-        parents: Dict[str, str] = {}
-        frontier = [root]
-        seen = {root}
-        depth = 0
-        while frontier and depth < limit:
-            next_frontier: List[str] = []
-            for node in frontier:
-                for callee in self.callees(node):
-                    if callee in seen:
-                        continue
-                    seen.add(callee)
-                    parents[callee] = node
-                    if callee == target:
-                        chain = [target]
-                        while chain[-1] != root:
-                            chain.append(parents[chain[-1]])
-                        return list(reversed(chain))
-                    next_frontier.append(callee)
-            frontier = next_frontier
-            depth += 1
-        return []
-
-    def digest_roots(self) -> Iterator[str]:
-        """Functions that compute digests/ids, in stable order."""
-        for fq in sorted(self.functions):
-            if self.functions[fq][1].is_digest:
-                yield fq

@@ -202,23 +202,18 @@ def _cmd_query(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.serve import ServeConfig, run_server
 
-    if args.window_ms < 0:
-        print("error: --window-ms must be >= 0", file=sys.stderr)
-        return 2
     config = ServeConfig(
         directory=args.dir,
         host=args.host,
         port=args.port,
         workers=args.workers,
-        window=args.window_ms / 1000.0,
         max_batch=args.max_batch,
     )
 
     def banner(server) -> None:
         print(
             f"serving {args.dir} on http://{config.host}:{server.port} "
-            f"(models={len(server.snapshot.lake)}, "
-            f"window={args.window_ms:.1f}ms, workers={config.workers})",
+            f"(models={len(server.snapshot.lake)}, workers={config.workers})",
             flush=True,
         )
 
@@ -632,10 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port (0 picks a free one)")
     serve.add_argument("--workers", type=int, default=2,
                        help="scoring threads (batches overlap across them)")
-    serve.add_argument("--window-ms", type=float, default=2.0,
-                       help="micro-batch latency window; 0 disables batching")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="dispatch a batch early once this full")
+                       help="most unique queries in one batch")
     serve.set_defaults(func=_cmd_serve)
 
     audit = sub.add_parser("audit", help="audit one model")

@@ -179,127 +179,6 @@ def bench_shard(mode: str) -> Dict[str, float]:
 
 
 @register_bench(
-    "serve",
-    description="HTTP serving throughput: micro-batched vs per-request",
-    tolerances={"batched_qps": WALL_CLOCK_TOLERANCE,
-                "unbatched_qps": WALL_CLOCK_TOLERANCE,
-                "batch_speedup": 2.0,
-                "batched_p99_seconds": WALL_CLOCK_TOLERANCE},
-)
-def bench_serve(mode: str) -> Dict[str, float]:
-    import asyncio
-    import http.client
-    import json
-    import os
-    import threading
-
-    from repro.lake import save_lake
-    from repro.serve import LakeServer, LakeSnapshot, ServeConfig
-
-    clients = 8
-    per_client = 6 if mode == "smoke" else 16
-    queries = [
-        "legal specialist", "medical fine-tuned", "code model",
-        "news summarizer", "legal contract review", "medical triage notes",
-        "code completion assistant", "news briefing model",
-    ]
-
-    def drill(snapshot, window: float) -> Dict[str, float]:
-        """Closed-loop qps and p99 over one in-process server."""
-        config = ServeConfig(
-            directory=snapshot.directory, host="127.0.0.1", port=0,
-            workers=2, window=window, max_batch=clients,
-        )
-        server = LakeServer(snapshot, config)
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
-        stop_box: Dict[str, asyncio.Event] = {}
-
-        async def main():
-            stop_box["stop"] = asyncio.Event()
-            await server.start()
-            ready.set()
-            await stop_box["stop"].wait()
-            await server.stop()
-
-        loop_thread = threading.Thread(
-            target=lambda: (asyncio.set_event_loop(loop),
-                            loop.run_until_complete(main()),
-                            loop.close()),
-            daemon=True,
-        )
-        loop_thread.start()
-        if not ready.wait(timeout=60):
-            raise RuntimeError("serve bench: server did not start")
-        port = server.port
-
-        barrier = threading.Barrier(clients + 1)
-        latencies: list = []
-        lock = threading.Lock()
-
-        def client(wid: int) -> None:
-            conn = http.client.HTTPConnection("127.0.0.1", port)
-            from urllib.parse import quote
-
-            target = f"/search?q={quote(queries[wid])}&k=5&method=hybrid"
-            mine = []
-            barrier.wait()
-            for _ in range(per_client):
-                begin = time.perf_counter()
-                conn.request("GET", target)
-                response = conn.getresponse()
-                payload = json.loads(response.read())
-                if response.status != 200:
-                    raise AssertionError(
-                        f"serve bench: HTTP {response.status}: {payload}"
-                    )
-                mine.append(time.perf_counter() - begin)
-            conn.close()
-            with lock:
-                latencies.extend(mine)
-
-        threads = [
-            # Mutations inside the clients are lock-guarded.
-            threading.Thread(target=client, args=(wid,), daemon=True)  # repro: noqa[shared-state-race]
-            for wid in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        begin = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - begin
-        loop.call_soon_threadsafe(stop_box["stop"].set)
-        loop_thread.join(timeout=60)
-        ordered = sorted(latencies)
-        p99 = ordered[min(len(ordered) - 1,
-                          int(round(0.99 * (len(ordered) - 1))))]
-        return {"qps": len(latencies) / elapsed, "p99": p99}
-
-    bundle = _build_lake(mode)
-    with tempfile.TemporaryDirectory() as root:
-        directory = os.path.join(root, "lake")
-        save_lake(bundle.lake, directory, sharded=True)
-        snapshot = LakeSnapshot.open(directory)
-        # Best of 2 rounds per phase: shared-runner scheduler noise
-        # swamps single-round qps.
-        unbatched = max((drill(snapshot, 0.0) for _ in range(2)),
-                        key=lambda r: r["qps"])
-        batched = max((drill(snapshot, 0.002) for _ in range(2)),
-                      key=lambda r: r["qps"])
-        snapshot.close()
-    return {
-        "models": float(len(list(bundle.lake))),
-        "unbatched_qps": round(unbatched["qps"], 1),
-        "batched_qps": round(batched["qps"], 1),
-        "batch_speedup": round(batched["qps"] / unbatched["qps"], 3)
-        if unbatched["qps"] else 0.0,
-        "batched_p99_seconds": round(batched["p99"], 5),
-    }
-
-
-@register_bench(
     "hnsw",
     description="vectorized HNSW build and query latency",
     tolerances={"build_seconds": WALL_CLOCK_TOLERANCE,

@@ -8,8 +8,9 @@ This package turns one lake snapshot into a small HTTP/JSON service:
 * :class:`~repro.serve.snapshot.LakeSnapshot` — an explicitly closeable
   (lake, engine) pair opened through the memmap read path and the warm
   embedding cache;
-* :class:`~repro.serve.batching.MicroBatcher` — coalesces concurrent
-  queries inside a bounded latency window into one batched index pass;
+* :class:`~repro.serve.batching.MicroBatcher` — dispatches a query at
+  once while a worker is free, and coalesces the queries that queue
+  behind busy workers into one batched index pass;
 * :class:`~repro.serve.server.LakeServer` — stdlib-asyncio HTTP server
   with per-endpoint latency histograms, per-request spans, and graceful
   drain on shutdown.

@@ -1,33 +1,34 @@
-"""Micro-batching: coalesce concurrent queries into one engine dispatch.
+"""Micro-batching: coalesce queries that queue behind busy workers.
 
-Under concurrency, N in-flight searches arriving within a few
-milliseconds of each other can share one executor hop, one index lock
-and buffer materialization
-(:meth:`~repro.index.flat.FlatIndex.query_batch`), and one ranking per
-distinct query.  The rows are still scored one matrix-vector product
-each, deliberately: a single matrix-matrix product would make scores
-depend on which queries shared the batch.  The
-:class:`MicroBatcher` trades a bounded latency window (default 2 ms)
-for that coalescing: the first query in a quiet period opens the
-window, every query arriving inside it joins the batch, and the batch
-dispatches when the window closes or the batch fills, whichever comes
-first.
+The :class:`MicroBatcher` is work-conserving: it never holds a query
+back while a worker is free.  A query dispatches at once while fewer
+than ``workers`` batches are in flight.  Queries that arrive while
+every worker is busy wait in a pending set, and when a worker frees up
+they go out together as one batch of at most ``max_batch`` unique
+triples.  So an idle server answers each query alone, with no added
+latency, and a loaded one coalesces exactly the queries that would
+otherwise have queued.
 
-Identical in-flight triples ``(query, k, method)`` are deduplicated —
+A batch shares one executor hop, one index lock and buffer
+materialization (:meth:`~repro.index.flat.FlatIndex.query_batch`), and
+one ranking per distinct query.  The rows are still scored one
+matrix-vector product each, deliberately: a single matrix-matrix
+product would make scores depend on which queries shared the batch.
+
+Identical waiting triples ``(query, k, method)`` are deduplicated —
 they share one future and one slot in the dispatched batch, so a burst
-of clients asking the same question costs one ranking.  Results are
-read-only to callers by convention (hit lists are shared between
-deduplicated waiters).
-
-``window=0`` disables coalescing entirely: every query dispatches
-alone, immediately.  That is the per-request baseline the serve
-benchmark A/B-tests against, through exactly the same code path.
+of clients asking the same question costs one ranking.  A query never
+joins a batch that has already been dispatched: a twin of an in-flight
+query waits for (or starts) a batch of its own.  Results are read-only
+to callers by convention (hit lists are shared between deduplicated
+waiters).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+import itertools
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import (
@@ -46,7 +47,7 @@ BatchRunner = Callable[[List[QueryKey]], List[Any]]
 
 
 class MicroBatcher:
-    """Window-bounded query coalescer over a blocking batch runner.
+    """Work-conserving query coalescer over a blocking batch runner.
 
     Parameters
     ----------
@@ -57,35 +58,28 @@ class MicroBatcher:
         Where ``runner`` runs (``None`` uses the loop's default).  The
         engine releases the GIL inside BLAS, so a small pool lets the
         scoring of one batch overlap the collection of the next.
-    window:
-        Seconds the first query of a batch waits for company.  ``0``
-        dispatches every query alone (per-request baseline).
+    workers:
+        Most batches in flight at once; match the executor's thread
+        count.  Queries arriving while this many are in flight wait
+        and coalesce.
     max_batch:
-        Dispatch immediately once this many unique triples are pending,
-        without waiting out the window.
+        Most unique triples in one dispatch.
     """
 
     def __init__(
         self,
         runner: BatchRunner,
         executor=None,
-        window: float = 0.002,
+        workers: int = 2,
         max_batch: int = 64,
     ):
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
         self._runner = runner
         self._executor = executor
-        self._window = float(window)
+        self._workers = max(1, int(workers))
         self._max_batch = max(1, int(max_batch))
         self._pending: Dict[QueryKey, asyncio.Future] = {}
-        self._timer: Optional[asyncio.TimerHandle] = None
         self._inflight: Set[asyncio.Task] = set()
         self._draining = False
-
-    @property
-    def window(self) -> float:
-        return self._window
 
     @property
     def queue_depth(self) -> int:
@@ -95,39 +89,27 @@ class MicroBatcher:
         """Result for one query; may ride a shared batch dispatch."""
         if self._draining:
             raise RuntimeError("batcher is draining; no new queries")
-        loop = asyncio.get_running_loop()
-        if self._window == 0:
-            # Per-request mode: same executor hop, no coalescing.
-            obs_metrics.inc(SERVE_BATCHES)
-            obs_metrics.observe(SERVE_BATCH_SIZE, 1)
-            results = await loop.run_in_executor(
-                self._executor, self._runner, [(query, k, method)]
-            )
-            return results[0]
         key: QueryKey = (query, int(k), method)
         future = self._pending.get(key)
         if future is None:
-            future = loop.create_future()
+            future = asyncio.get_running_loop().create_future()
             self._pending[key] = future
-            obs_metrics.set_gauge(SERVE_QUEUE_DEPTH, len(self._pending))
-            if len(self._pending) >= self._max_batch:
-                self._flush()
-            elif self._timer is None:
-                self._timer = loop.call_later(self._window, self._flush)
+            self._pump()
         return await future
 
-    def _flush(self) -> None:
-        """Close the current window and dispatch whatever is pending."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending:
-            return
-        batch, self._pending = self._pending, {}
-        obs_metrics.set_gauge(SERVE_QUEUE_DEPTH, 0)
-        task = asyncio.get_running_loop().create_task(self._dispatch(batch))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+    def _pump(self) -> None:
+        """Dispatch waiting triples while a worker is free."""
+        while self._pending and len(self._inflight) < self._workers:
+            keys = list(itertools.islice(self._pending, self._max_batch))
+            batch = {key: self._pending.pop(key) for key in keys}
+            task = asyncio.get_running_loop().create_task(self._dispatch(batch))
+            self._inflight.add(task)
+            task.add_done_callback(self._finished)
+        obs_metrics.set_gauge(SERVE_QUEUE_DEPTH, len(self._pending))
+
+    def _finished(self, task: asyncio.Task) -> None:
+        self._inflight.discard(task)
+        self._pump()
 
     async def _dispatch(self, batch: Dict[QueryKey, asyncio.Future]) -> None:
         keys = list(batch)
@@ -151,9 +133,12 @@ class MicroBatcher:
                 future.set_result(result)
 
     async def drain(self) -> None:
-        """Reject new queries, dispatch the tail, await every batch."""
+        """Reject new queries, then await every batch, tail included.
+
+        Waiting triples need no flush: each finished batch dispatches
+        the next, so the loop ends only once nothing is pending.
+        """
         self._draining = True
-        self._flush()
         while self._inflight:
             await asyncio.gather(
                 *list(self._inflight), return_exceptions=True

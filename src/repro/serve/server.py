@@ -22,8 +22,9 @@ drain get ``503`` with ``Retry-After``, never a connection reset.
 Tracing: each request records a manually-constructed span parented to
 the CLI root (the thread-local ``with trace()`` stack cannot span an
 ``await`` — interleaved tasks would mis-nest).  Engine work records its
-own spans on the executor thread; the batch wrapper re-parents that
-subtree into the same trace, so ``repro trace report`` shows one tree.
+own spans on the executor thread; :meth:`LakeServer._run_batch`, which
+scores each batch the micro-batcher dispatches, re-parents that subtree
+into the same trace, so ``repro trace report`` shows one tree.
 """
 
 from __future__ import annotations
@@ -214,9 +215,8 @@ class ServeConfig:
     directory: str
     host: str = "127.0.0.1"
     port: int = 8484
+    #: Scoring threads; also the most batches the batcher keeps in flight.
     workers: int = 2
-    #: Micro-batch latency window in seconds; 0 = per-request dispatch.
-    window: float = 0.002
     max_batch: int = 64
 
 
@@ -233,7 +233,7 @@ class LakeServer:
         self._batcher = MicroBatcher(
             self._run_batch,
             executor=self._executor,
-            window=config.window,
+            workers=config.workers,
             max_batch=config.max_batch,
         )
         self._server: Optional[asyncio.AbstractServer] = None
@@ -256,8 +256,7 @@ class LakeServer:
         self._started_at = time.time()
         _log.info(
             "server.started", host=self.config.host, port=self.port,
-            models=len(self.snapshot.lake), window=self.config.window,
-            workers=self.config.workers,
+            models=len(self.snapshot.lake), workers=self.config.workers,
         )
 
     @property
@@ -529,7 +528,6 @@ class LakeServer:
             "uptime_seconds": time.time() - self._started_at,
             "open_weight_handles": self.snapshot.open_handles,
             "batching": {
-                "window_seconds": self.config.window,
                 "max_batch": self.config.max_batch,
                 "workers": self.config.workers,
             },

@@ -32,14 +32,13 @@ def serve_lake_dir(lake_bundle, tmp_path_factory):
 class ServerHarness:
     """Own a snapshot + LakeServer on a background event loop."""
 
-    def __init__(self, directory: str, window: float = 0.002,
-                 workers: int = 2, max_batch: int = 64):
+    def __init__(self, directory: str, workers: int = 2, max_batch: int = 64):
         self.snapshot = LakeSnapshot.open(directory)
         self.server = LakeServer(
             self.snapshot,
             ServeConfig(
                 directory=directory, host="127.0.0.1", port=0,
-                workers=workers, window=window, max_batch=max_batch,
+                workers=workers, max_batch=max_batch,
             ),
         )
         self._loop = asyncio.new_event_loop()
@@ -134,6 +133,6 @@ def make_server(serve_lake_dir):
 @pytest.fixture(scope="module")
 def server(serve_lake_dir):
     """One long-lived batching server shared by a test module."""
-    harness = ServerHarness(serve_lake_dir, window=0.002).start()
+    harness = ServerHarness(serve_lake_dir).start()
     yield harness
     harness.stop()

@@ -133,7 +133,7 @@ class TestEndpoints:
         status, payload = server.get("/stats")
         assert status == 200
         assert payload["models"] == len(server.server.snapshot.lake)
-        assert payload["batching"]["window_seconds"] == pytest.approx(0.002)
+        assert payload["batching"] == {"max_batch": 64, "workers": 2}
         assert payload["draining"] is False
         flat = str(payload["metrics"])
         assert "serve.requests" in flat
@@ -402,7 +402,7 @@ class TestFuzzDrill:
         rng = random.Random(self.SEED)
         cases = [_fuzz_case(rng) for _ in range(self.CASES)]
         assert any(stall for _, stall in cases)
-        harness = ServerHarness(serve_lake_dir, window=0.002)
+        harness = ServerHarness(serve_lake_dir)
         loop_errors = []
         harness._loop.set_exception_handler(
             lambda _loop, context: loop_errors.append(context)
@@ -472,7 +472,7 @@ class TestConcurrency:
         assert not failures
 
     def test_batched_equals_per_request(self, make_server):
-        """The same burst through window=0 and window>0 ranks identically."""
+        """A burst ranks the same batched as with one query per batch."""
         burst = [(query, 5, "hybrid") for query in self.QUERIES] * 2
 
         def run_burst(harness):
@@ -496,14 +496,14 @@ class TestConcurrency:
                 thread.join()
             return results
 
-        batched = run_burst(make_server(window=0.005))
-        unbatched = run_burst(make_server(window=0.0))
+        batched = run_burst(make_server())
+        unbatched = run_burst(make_server(max_batch=1))
         assert batched == unbatched
 
 
 class TestShutdown:
     def test_draining_rejects_with_503(self, make_server):
-        harness = make_server(window=0.0)
+        harness = make_server()
         # Flip the drain flag directly: deterministic, no signal races.
         harness.server._draining = True
         try:
@@ -519,7 +519,7 @@ class TestShutdown:
     def test_graceful_stop_closes_listener_and_snapshot(self, serve_lake_dir):
         from tests.serve.conftest import ServerHarness
 
-        harness = ServerHarness(serve_lake_dir, window=0.002).start()
+        harness = ServerHarness(serve_lake_dir).start()
         status, _ = harness.search("legal court statute", k=2)
         assert status == 200
         port = harness.port
