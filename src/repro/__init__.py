@@ -21,11 +21,15 @@ Quickstart::
 
 __version__ = "0.1.0"
 
-from repro import data, errors, index, interp, lake, nn, obs, transforms, utils, weightspace
-from repro import core
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "__version__",
+#: Subpackages, each imported on first attribute access.
+_SUBPACKAGES = (
     "core", "data", "errors", "index", "interp", "lake", "nn", "obs",
     "transforms", "utils", "weightspace",
-]
+)
+
+__all__ = ["__version__", *_SUBPACKAGES]
+__getattr__, __dir__ = lazy_exports(
+    __name__, {name: f"{__name__}.{name}" for name in _SUBPACKAGES}
+)

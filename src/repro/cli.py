@@ -45,19 +45,13 @@ import time
 from dataclasses import asdict
 from typing import Callable, List, Optional
 
-from repro.core.audit import ModelAuditor
-from repro.core.citation import cite_model
-from repro.core.docgen import CardGenerator
-from repro.core.search import SearchEngine, execute_query
-from repro.data.probes import make_text_probes
+# Each command imports what only it uses in its own body, so ``repro
+# serve`` starts without loading generation, training, audit or fsck.
 from repro.errors import AmbiguousModelNameError, ModelNotFoundError, ReproError
-from repro.lake import LakeSpec, load_lake, migrate_lake
-from repro.lake.generator import LakeGenerator
-from repro.lake.stats import compute_statistics
+from repro.lake.persist import load_lake, migrate_lake
 from repro.obs import JSONLExporter, get_registry, trace, tracing
 from repro.obs import logging as obs_logging
 from repro.reliability.atomic import atomic_write_json
-from repro.reliability.fsck import fsck_lake
 
 _METRICS_FILE = "metrics.json"
 
@@ -104,6 +98,9 @@ def _cache_dir(lake_dir: str) -> str:
 
 
 def _cmd_generate(args) -> int:
+    from repro.lake.generator import LakeGenerator, LakeSpec
+    from repro.lake.stats import compute_statistics
+
     spec = LakeSpec(
         num_foundations=args.foundations,
         chains_per_foundation=args.chains,
@@ -157,6 +154,8 @@ def _cmd_migrate(args) -> int:
 
 
 def _cmd_fsck(args) -> int:
+    from repro.reliability.fsck import fsck_lake
+
     try:
         report = fsck_lake(args.dir, repair=args.repair, workers=args.workers)
     except FileNotFoundError as error:
@@ -170,6 +169,8 @@ def _cmd_fsck(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from repro.lake.stats import compute_statistics
+
     lake = load_lake(args.dir)
     statistics = compute_statistics(lake)
     _emit(asdict(statistics), args.json, statistics.to_text)
@@ -177,6 +178,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from repro.core.search import SearchEngine
+    from repro.data.probes import make_text_probes
+
     lake = load_lake(args.dir)
     engine = SearchEngine(lake, make_text_probes(), cache_dir=_cache_dir(args.dir))
     hits = engine.search(args.query, k=args.k, method=args.method)
@@ -190,6 +194,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from repro.core.search import SearchEngine, execute_query
+    from repro.data.probes import make_text_probes
+
     lake = load_lake(args.dir)
     engine = SearchEngine(lake, make_text_probes(), cache_dir=_cache_dir(args.dir))
     hits = execute_query(engine, args.q)
@@ -221,6 +228,10 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from repro.core.audit import ModelAuditor
+    from repro.core.docgen import CardGenerator
+    from repro.data.probes import make_text_probes
+
     lake = load_lake(args.dir)
     model_id = _resolve(lake, args.model)
     generator = CardGenerator(lake, make_text_probes())
@@ -230,6 +241,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_cite(args) -> int:
+    from repro.core.citation import cite_model
+
     lake = load_lake(args.dir)
     model_id = _resolve(lake, args.model)
     citation = cite_model(lake, model_id)

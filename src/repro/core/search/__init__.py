@@ -1,26 +1,25 @@
 """Model search: keyword, behavioral, hybrid, dataset, declarative."""
 
-from repro.core.search.keyword import BM25Index, build_card_index
-from repro.core.search.behavioral import (
-    BehavioralSearcher,
-    TaskSpec,
-    extract_query_domains,
-    task_profile_vector,
-)
-from repro.core.search.dataset_search import DatasetSearchHit, models_trained_on
-from repro.core.search.engine import SEARCH_METHODS, SearchEngine, SearchHit
-from repro.core.search.parser import (
-    Condition,
-    ModelQuery,
-    execute_query,
-    parse_query,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BM25Index", "build_card_index",
-    "BehavioralSearcher", "TaskSpec", "extract_query_domains",
-    "task_profile_vector",
-    "DatasetSearchHit", "models_trained_on",
-    "SEARCH_METHODS", "SearchEngine", "SearchHit",
-    "Condition", "ModelQuery", "execute_query", "parse_query",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    "BM25Index": "repro.core.search.keyword",
+    "build_card_index": "repro.core.search.keyword",
+    "BehavioralSearcher": "repro.core.search.behavioral",
+    "TaskSpec": "repro.core.search.behavioral",
+    "extract_query_domains": "repro.core.search.behavioral",
+    "task_profile_vector": "repro.core.search.behavioral",
+    "DatasetSearchHit": "repro.core.search.dataset_search",
+    "models_trained_on": "repro.core.search.dataset_search",
+    "SEARCH_METHODS": "repro.core.search.engine",
+    "SearchEngine": "repro.core.search.engine",
+    "SearchHit": "repro.core.search.engine",
+    "Condition": "repro.core.search.parser",
+    "ModelQuery": "repro.core.search.parser",
+    "execute_query": "repro.core.search.parser",
+    "parse_query": "repro.core.search.parser",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -108,17 +108,14 @@ def embedding_index(
     """
     space = embedder.space_key
     vectors: Dict[str, np.ndarray] = {}
-    for record in lake:
-        vector = (
-            cache.get(space, record.weights_digest)
-            if cache is not None else None
-        )
+    for model_id, digest in zip(lake.model_ids(), lake.weight_digests()):
+        vector = cache.get(space, digest) if cache is not None else None
         if vector is None:
-            model = lake.get_model(record.model_id, force=True)
+            model = lake.get_model(model_id, force=True)
             vector = embedder.embed(model)
             if cache is not None:
-                cache.put(space, record.weights_digest, vector)
-        vectors[record.model_id] = vector
+                cache.put(space, digest, vector)
+        vectors[model_id] = vector
     index = FlatIndex()
     if vectors:
         index.build(list(vectors), np.stack(list(vectors.values())))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.core.search.behavioral import (
     embedding_index,
     extract_query_domains,
 )
-from repro.core.search.dataset_search import DatasetSearchHit, models_trained_on
 from repro.core.search.keyword import BM25Index, build_card_index
 from repro.data.datasets import TextDataset
 from repro.data.probes import ProbeSet, make_text_probes
@@ -40,6 +39,9 @@ from repro.obs.instrument import (
 )
 from repro.obs.logging import get_logger
 from repro.obs.tracing import trace
+
+if TYPE_CHECKING:
+    from repro.core.search.dataset_search import DatasetSearchHit
 
 _log = get_logger("search.engine")
 
@@ -271,7 +273,11 @@ class SearchEngine:
         dataset: TextDataset,
         reference: Optional[TextDataset] = None,
         include_versions: bool = True,
-    ) -> List[DatasetSearchHit]:
+    ) -> List["DatasetSearchHit"]:
+        # Dataset search pulls in membership attribution; a server never
+        # asks for it.
+        from repro.core.search.dataset_search import models_trained_on
+
         return models_trained_on(
             self.lake, dataset, reference=reference, include_versions=include_versions
         )

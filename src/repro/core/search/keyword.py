@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import zipfile
 from collections import defaultdict
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -37,7 +36,7 @@ from repro.errors import ConfigError
 from repro.index.flat import id_ranks, top_k
 from repro.lake.lake import ModelLake
 from repro.obs.logging import get_logger
-from repro.reliability.atomic import atomic_write_npz
+from repro.reliability.atomic import atomic_write_npz, read_npz
 from repro.utils.text import simple_tokenize
 
 _log = get_logger("search.keyword")
@@ -201,20 +200,8 @@ class BM25Index:
         b: float,
     ) -> Optional["BM25Index"]:
         """The table at ``path`` if it was saved under ``digest``, else None."""
-        try:
-            # np.load reads from our handle: given a path, it returns a
-            # bare array for an .npy file and leaks its own handle when a
-            # zip fails to parse.
-            with open(path, "rb") as handle:
-                archive = np.load(handle)  # repro: noqa[whole-file-read]
-                if (getattr(archive, "files", None) != _MEMBERS
-                        or archive["digest"].tolist() != digest):
-                    return None
-                table = {name: archive[name] for name in _MEMBERS[1:]}
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-            _log.warning("bm25.unreadable", path=path, error=str(exc))
+        table = read_npz(path, _MEMBERS)
+        if table is None or table["digest"].tolist() != digest:
             return None
         index = cls.__new__(cls)
         index._set_params(k1, b)
@@ -271,7 +258,7 @@ def build_card_index(lake: ModelLake, cache_dir: Optional[str] = None) -> BM25In
     ``<cache_dir>/bm25.npz``: loaded when it was written for these
     cards, built and (re)written otherwise (:meth:`BM25Index.cached`).
     """
-    docs = [(record.model_id, record.card.text()) for record in lake]
+    docs = list(zip(lake.model_ids(), lake.card_texts()))
     if cache_dir is None:
         return BM25Index(docs)
     return BM25Index.cached(docs, os.path.join(cache_dir, TABLE_FILE))

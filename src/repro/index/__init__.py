@@ -1,22 +1,22 @@
 """Embedders and nearest-neighbor indexes over model embeddings."""
 
-from repro.index.cache import EmbeddingCache
-from repro.index.embedders import (
-    BehavioralEmbedder,
-    ConcatEmbedder,
-    MetadataEmbedder,
-    OutputEmbedder,
-    WeightStatEmbedder,
-    l2_normalize,
-)
-from repro.index.flat import FlatIndex
-from repro.index.hnsw import HNSWIndex
-from repro.index.lsh import LSHIndex
-from repro.index.metrics import measure_recall, recall_at_k
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BehavioralEmbedder", "ConcatEmbedder", "EmbeddingCache",
-    "MetadataEmbedder", "OutputEmbedder", "WeightStatEmbedder",
-    "l2_normalize", "FlatIndex", "HNSWIndex", "LSHIndex",
-    "measure_recall", "recall_at_k",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    "BehavioralEmbedder": "repro.index.embedders",
+    "ConcatEmbedder": "repro.index.embedders",
+    "EmbeddingCache": "repro.index.cache",
+    "MetadataEmbedder": "repro.index.embedders",
+    "OutputEmbedder": "repro.index.embedders",
+    "WeightStatEmbedder": "repro.index.embedders",
+    "l2_normalize": "repro.index.embedders",
+    "FlatIndex": "repro.index.flat",
+    "HNSWIndex": "repro.index.hnsw",
+    "LSHIndex": "repro.index.lsh",
+    "measure_recall": "repro.index.metrics",
+    "recall_at_k": "repro.index.metrics",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,7 +15,8 @@ storage layout.  Each file holds exactly two members: ``digests`` (a
 string array) and ``vectors`` (the matching float64 rows stacked into
 one matrix), so a warm open costs one file read per space however many
 models it covers.  A file in any other layout (such as the older
-one-member-per-digest archives) reads as empty: its entries miss, get
+one-member-per-digest archives) or one that cannot be read (empty,
+truncated, a bare ``.npy``) reads as empty: its entries miss, get
 recomputed, and the next flush rewrites the file in the current layout.
 Older per-digest-prefix directories (``embeddings-<space>/<pp>.npz``)
 are never read, so a lake that still has them re-embeds once and
@@ -33,7 +34,7 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import EMBED_CACHE_HITS, EMBED_CACHE_MISSES
 from repro.obs.logging import get_logger
-from repro.reliability.atomic import atomic_write_npz
+from repro.reliability.atomic import atomic_write_npz, read_npz
 
 _log = get_logger("index.embed_cache")
 
@@ -82,25 +83,27 @@ class EmbeddingCache:
     def _load_space(self, space: str) -> Dict[str, np.ndarray]:
         """The (lazily loaded) digest->vector dict for one space.
 
-        Runs entirely under the cache lock: exactly one thread performs
+        The load runs under the cache lock: exactly one thread performs
         the disk read for a given space, and every later caller gets the
         *same* dict object, so concurrent puts can never be lost to a
-        racing reload.  Loaded vectors are row views of the file's one
-        matrix.
+        racing reload.  A space's dict is stored once and never
+        replaced, so a caller that finds it loaded needs no lock.
+        Loaded vectors are read-only row views of the file's one matrix.
         """
+        vectors = self._spaces.get(space)
+        if vectors is not None:
+            return vectors
         with self._lock:
             vectors = self._spaces.get(space)
             if vectors is not None:
                 return vectors
             vectors = {}
             if self._directory is not None:
-                path = self._path(space)
-                if os.path.exists(path):
-                    with np.load(path) as archive:  # repro: noqa[whole-file-read]
-                        if archive.files == _MEMBERS:
-                            vectors = dict(zip(
-                                archive["digests"].tolist(), archive["vectors"]
-                            ))
+                archive = read_npz(self._path(space), _MEMBERS)
+                if archive is not None:
+                    vectors = dict(zip(
+                        archive["digests"].tolist(), archive["vectors"]
+                    ))
                     _log.debug("space.loaded", space=space, entries=len(vectors))
             self._spaces[space] = vectors
             return vectors

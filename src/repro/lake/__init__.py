@@ -1,31 +1,31 @@
 """The model lake: records, cards, stores, generation, corruption."""
 
-from repro.lake.card import CARD_CONTENT_FIELDS, ModelCard
-from repro.lake.record import ModelHistory, ModelRecord
-from repro.lake.store import WeightStore
-from repro.lake.lake import ModelLake
-from repro.lake.generator import (
-    DEFAULT_TRANSFORM_MIX,
-    GeneratedLake,
-    LakeGenerator,
-    LakeGroundTruth,
-    LakeSpec,
-    generate_lake,
-)
-from repro.lake.corruption import CardCorruptor, CorruptionReport, CORRUPTIBLE_FIELDS
-from repro.lake.persist import load_lake, migrate_lake, save_lake
-from repro.lake.shard import ShardLayout
-from repro.lake.stats import LakeStatistics, compute_statistics
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CARD_CONTENT_FIELDS", "ModelCard",
-    "ModelHistory", "ModelRecord",
-    "WeightStore",
-    "ModelLake",
-    "DEFAULT_TRANSFORM_MIX", "GeneratedLake", "LakeGenerator",
-    "LakeGroundTruth", "LakeSpec", "generate_lake",
-    "CardCorruptor", "CorruptionReport", "CORRUPTIBLE_FIELDS",
-    "load_lake", "migrate_lake", "save_lake",
-    "ShardLayout",
-    "LakeStatistics", "compute_statistics",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    "CARD_CONTENT_FIELDS": "repro.lake.card",
+    "ModelCard": "repro.lake.card",
+    "ModelHistory": "repro.lake.record",
+    "ModelRecord": "repro.lake.record",
+    "WeightStore": "repro.lake.store",
+    "ModelLake": "repro.lake.lake",
+    "DEFAULT_TRANSFORM_MIX": "repro.lake.generator",
+    "GeneratedLake": "repro.lake.generator",
+    "LakeGenerator": "repro.lake.generator",
+    "LakeGroundTruth": "repro.lake.generator",
+    "LakeSpec": "repro.lake.generator",
+    "generate_lake": "repro.lake.generator",
+    "CardCorruptor": "repro.lake.corruption",
+    "CorruptionReport": "repro.lake.corruption",
+    "CORRUPTIBLE_FIELDS": "repro.lake.corruption",
+    "load_lake": "repro.lake.persist",
+    "migrate_lake": "repro.lake.persist",
+    "save_lake": "repro.lake.persist",
+    "ShardLayout": "repro.lake.shard",
+    "LakeStatistics": "repro.lake.stats",
+    "compute_statistics": "repro.lake.stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

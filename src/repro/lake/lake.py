@@ -10,7 +10,16 @@ lives in :mod:`repro.core` and operates *on* a lake.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
@@ -19,6 +28,7 @@ from repro.errors import (
     DuplicateIdError,
     HistoryUnavailableError,
     IntrinsicsUnavailableError,
+    LakeError,
     ModelNotFoundError,
 )
 from repro.lake.card import ModelCard
@@ -30,6 +40,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import LAKE_MODEL_LOADS, LAKE_MODELS_ADDED
 from repro.obs.tracing import trace
 from repro.utils.hashing import combine_digests, stable_hash
+
+if TYPE_CHECKING:
+    from repro.lake.table import RecordTable
 
 # Resolved once at import (registry.reset() zeroes it in place): a lake
 # open registers every record, so a per-call lookup would scale with it.
@@ -45,7 +58,10 @@ class ModelLake:
     """
 
     def __init__(self, weight_directory: Optional[str] = None):
-        self._records: Dict[str, ModelRecord] = {}
+        #: model id -> its record, or, for a lake opened from a record
+        #: table, its row there (the table decodes and keeps the record).
+        self._records: Dict[str, Union[ModelRecord, int]] = {}
+        self._table: Optional["RecordTable"] = None
         self._weights = WeightStore(directory=weight_directory)
         self._datasets = DatasetRegistry()
         self._clock = 0
@@ -116,6 +132,20 @@ class ModelLake:
         self._records[record.model_id] = record
         _models_added_counter.inc()
 
+    def register_table(self, table: "RecordTable") -> None:
+        """Register every record of a persisted record table, decoding none.
+
+        The warm load path (:func:`repro.lake.persist.load_lake` with a
+        current ``cache/records.npz``) hands over the table; each record
+        is decoded from it when first accessed.  The caller owns clock
+        and weight-store bookkeeping, as for :meth:`register_record`.
+        """
+        if self._records:
+            raise LakeError("a record table registers into an empty lake only")
+        self._records = dict(zip(table.ids, range(len(table))))
+        self._table = table
+        _models_added_counter.inc(len(table))
+
     # ------------------------------------------------------------------
     # Access (with viewpoint visibility rules)
     # ------------------------------------------------------------------
@@ -126,16 +156,45 @@ class ModelLake:
         return model_id in self._records
 
     def __iter__(self) -> Iterator[ModelRecord]:
-        return iter(sorted(self._records.values(), key=lambda r: r.created_at))
+        records = [self.get_record(model_id) for model_id in list(self._records)]
+        return iter(sorted(records, key=lambda r: r.created_at))
+
+    def _column(
+        self, name: str, derive: Callable[[ModelRecord], str]
+    ) -> List[str]:
+        """``derive(record)`` for every record in iteration order, read
+        from the record table's column ``name`` while it still describes
+        this lake.
+
+        Every mutation moves the clock, and every added record changes
+        the count; after either, the columns are no longer trusted.
+        """
+        table = self._table
+        if (table is not None and table.clock == self._clock
+                and len(table) == len(self._records)):
+            return list(getattr(table, name))
+        return [derive(record) for record in self]
 
     def model_ids(self) -> List[str]:
-        return [record.model_id for record in self]
+        """Every model id, in iteration (``created_at``) order."""
+        return self._column("ids", lambda record: record.model_id)
+
+    def weight_digests(self) -> List[str]:
+        """Every record's weight digest, aligned with :meth:`model_ids`."""
+        return self._column("digests", lambda record: record.weights_digest)
+
+    def card_texts(self) -> List[str]:
+        """Every record's :meth:`ModelCard.text`, aligned with :meth:`model_ids`."""
+        return self._column("texts", lambda record: record.card.text())
 
     def get_record(self, model_id: str) -> ModelRecord:
         try:
-            return self._records[model_id]
+            record = self._records[model_id]
         except KeyError:
             raise ModelNotFoundError(model_id) from None
+        if isinstance(record, int):
+            return self._table.record(record)
+        return record
 
     def get_model(self, model_id: str, force: bool = False) -> Module:
         """Rehydrate a model's Module from stored weights (intrinsics).

@@ -9,6 +9,10 @@ Layout (v2, current)::
     <dir>/shards/<pp>.json   per-shard integrity fragments (sharded only)
     <dir>/datasets/*.npz     dataset token/label arrays
     <dir>/lineage.json       dataset derivation edges
+    <dir>/cache/             derived files, rebuilt when missing or stale:
+                             records.npz (the record table, written by
+                             load_lake), bm25.npz and embeddings-*.npz
+                             (written by the search engine)
 
 Pre-shard (v1) lakes — flat ``weights/*.npz``, no ``layout`` key in the
 manifest's integrity section — remain loadable; :func:`load_lake`
@@ -20,7 +24,13 @@ and the dataset lineage graph.  The logical clock is restored, so
 citations remain resolvable across processes.  A v2 load is *lazy*:
 records come straight from the manifest and weights stay on disk behind
 a read-layer :class:`~repro.lake.store.WeightStore` that memmaps blobs
-on demand — resident memory stays flat in the lake size.
+on demand — resident memory stays flat in the lake size.  A warm v2
+load goes further: when ``cache/records.npz`` was written for the exact
+manifest bytes on disk, the lake opens from that record table
+(:mod:`repro.lake.table`) without decoding the manifest, and each
+record is decoded on first use.  The table is keyed by the manifest's
+sha256, so it can never describe another manifest; ``save_lake``,
+``migrate_lake`` and ``repro fsck`` neither read nor write it.
 
 Sharding is pure placement, never identity: the layout lives in the
 ``integrity`` section, which is excluded from ``manifest_body_digest``,
@@ -39,18 +49,18 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import json
 import os
 import threading
 from collections import Counter
 from dataclasses import asdict
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.data.datasets import TextDataset
 from repro.errors import LakeError
-from repro.lake.card import ModelCard
 from repro.lake.lake import ModelLake
 from repro.lake.record import ModelHistory, ModelRecord
 from repro.lake.shard import (
@@ -59,9 +69,17 @@ from repro.lake.shard import (
     ShardLayout,
 )
 from repro.lake.store import WeightStore
+from repro.lake.table import (
+    TABLE_FILE,
+    RecordTable,
+    read_table,
+    record_from_entry,
+    table_key,
+    write_table,
+)
+from repro.obs.logging import get_logger
 from repro.reliability.atomic import atomic_write_bytes
-from repro.reliability.fsck import manifest_body_digest
-from repro.transforms.base import TransformRecord
+from repro.reliability.digest import stream_digest, stream_digest_fileobj
 from repro.utils.hashing import bytes_digest
 from repro.utils.serialization import (
     arrays_to_bytes,
@@ -69,8 +87,12 @@ from repro.utils.serialization import (
     to_jsonable,
 )
 
+_log = get_logger("lake.persist")
+
 _MANIFEST = "manifest.json"
 _LINEAGE = "lineage.json"
+#: Derived files a load may (re)write; never part of the lake's identity.
+_CACHE_DIR = "cache"
 
 #: Digest length recorded in the manifest's integrity section.
 _FILE_DIGEST_LEN = 24
@@ -98,25 +120,6 @@ def _history_to_dict(history: ModelHistory) -> Dict:
             "seed": history.transform.seed,
         }
     return payload
-
-
-def _history_from_dict(payload: Dict) -> ModelHistory:
-    transform = None
-    if payload.get("transform"):
-        t = payload["transform"]
-        transform = TransformRecord(
-            kind=t["kind"], params=dict(t.get("params") or {}),
-            dataset_digest=t.get("dataset_digest"),
-            dataset_name=t.get("dataset_name"), seed=t.get("seed", 0),
-        )
-    return ModelHistory(
-        parent_ids=tuple(payload.get("parent_ids") or ()),
-        transform=transform,
-        dataset_digest=payload.get("dataset_digest"),
-        dataset_name=payload.get("dataset_name"),
-        algorithm=payload.get("algorithm", "train_from_scratch"),
-        seed=payload.get("seed", 0),
-    )
 
 
 def _record_payload(record: ModelRecord) -> Dict:
@@ -161,6 +164,10 @@ def save_lake(
     between never corrupts a previously saved lake in the same
     directory.
     """
+    # fsck is the integrity checker; only a save needs its digest, so a
+    # process that just opens lakes never imports it.
+    from repro.reliability.fsck import manifest_body_digest
+
     layout = _resolve_layout(lake, sharded, prefix_len)
     os.makedirs(directory, exist_ok=True)
     os.makedirs(os.path.join(directory, "weights"), exist_ok=True)
@@ -263,9 +270,9 @@ def save_lake(
     return directory
 
 
-def _load_datasets(lake: ModelLake, directory: str, manifest: Dict) -> None:
+def _load_datasets(lake: ModelLake, directory: str, datasets: List[Dict]) -> None:
     """Datasets and lineage are small; both load eagerly."""
-    for entry in manifest.get("datasets", []):
+    for entry in datasets:
         path = os.path.join(directory, "datasets", f"{entry['digest']}.npz")
         with np.load(path) as payload:  # repro: noqa[whole-file-read]
             dataset = TextDataset(
@@ -289,14 +296,15 @@ def _load_datasets(lake: ModelLake, directory: str, manifest: Dict) -> None:
                 )
 
 
-def _check_clock(lake: ModelLake, manifest: Dict) -> None:
-    # Restore the logical clock — but only after asserting monotonicity.
-    # ``created_at`` values are minted from the clock, so the restored
-    # clock must dominate every record's timestamp and the timestamps
-    # must be unique; otherwise the next add_model() would mint a
-    # ``created_at`` duplicating an existing record's, silently breaking
-    # citation ordering.
-    created = [entry["created_at"] for entry in manifest["records"]]
+def _check_clock(lake: ModelLake, created: Sequence[int]) -> None:
+    """Refuse a lake whose restored clock would mint a duplicate timestamp.
+
+    ``lake.clock`` holds the clock read from disk and ``created`` every
+    record's ``created_at``.  New records take their ``created_at`` from
+    the clock, so the timestamps must be unique and the clock must
+    dominate all of them; otherwise the next ``add_model()`` would
+    duplicate an existing record's, silently breaking citation ordering.
+    """
     if len(set(created)) != len(created):
         duplicates = sorted(
             value for value, count in Counter(created).items() if count > 1
@@ -305,53 +313,50 @@ def _check_clock(lake: ModelLake, manifest: Dict) -> None:
             f"manifest is not clock-monotonic: duplicate created_at "
             f"value(s) {duplicates} across records"
         )
-    clock = manifest.get("clock", lake.clock)
     newest = max(created, default=0)
-    if clock < newest:
+    if lake.clock < newest:
         raise LakeError(
-            f"manifest clock {clock} is behind the newest record "
+            f"manifest clock {lake.clock} is behind the newest record "
             f"(created_at={newest}); refusing to load a lake that would "
             f"mint duplicate timestamps"
         )
-    lake._clock = clock
 
 
-def _load_v2(
-    lake: ModelLake, directory: str, manifest: Dict, layout: ShardLayout,
-    materialize: bool,
-) -> None:
-    """Out-of-core load: records from the manifest, weights stay on disk."""
+def _attach_weights(lake: ModelLake, directory: str, layout: ShardLayout) -> None:
+    """Serve the lake's weights from disk through a read-layer store."""
     lake._weights = WeightStore(
         directory=os.path.join(directory, "weights"),
         layout=layout, write_through=False,
     )
     lake.storage_layout = layout
-    for entry in sorted(manifest["records"], key=lambda r: r["created_at"]):
-        history = (
-            _history_from_dict(entry["history"]) if entry.get("history") else None
-        )
-        record = ModelRecord(
-            model_id=entry["model_id"],
-            name=entry["name"],
-            architecture=dict(entry["architecture"]),
-            weights_digest=entry["weights_digest"],
-            card=ModelCard(**dict(entry["card"])),
-            history=history,
-            history_public=entry.get("history_public", True),
-            weights_public=entry.get("weights_public", True),
-            created_at=entry["created_at"],
-            tags=list(entry.get("tags") or []),
-            eval_metrics={
-                metric: float(value)
-                for metric, value in (entry.get("eval_metrics") or {}).items()
-            },
-        )
+
+
+def _load_v2(
+    lake: ModelLake, directory: str, entries: List[Dict], layout: ShardLayout,
+    materialize: bool,
+) -> None:
+    """Out-of-core load: records from the manifest, weights stay on disk."""
+    _attach_weights(lake, directory, layout)
+    for entry in entries:
+        record = record_from_entry(entry)
         lake.register_record(record)
         if materialize:
             lake.weights.materialize(record.weights_digest)
 
 
-def _load_v1(lake: ModelLake, directory: str, manifest: Dict) -> None:
+def _open_table(
+    lake: ModelLake, directory: str, table: RecordTable, materialize: bool
+) -> None:
+    """Warm load: every record registered from the table, none decoded."""
+    _attach_weights(lake, directory, table.layout)
+    lake.register_table(table)
+    lake._clock = table.clock
+    if materialize:
+        for digest in table.digests:
+            lake.weights.materialize(digest)
+
+
+def _load_v1(lake: ModelLake, directory: str, entries: List[Dict]) -> None:
     """Eager legacy load of a pre-shard lake (flat npz weight archives).
 
     v1 digests hashed npz bytes, so re-registering through
@@ -361,7 +366,7 @@ def _load_v1(lake: ModelLake, directory: str, manifest: Dict) -> None:
     """
     from repro.nn.models import build_model
 
-    for entry in sorted(manifest["records"], key=lambda r: r["created_at"]):
+    for entry in entries:
         entry_digest = entry["weights_digest"]
         path = os.path.join(directory, "weights", f"{entry_digest}.npz")
         with open(path, "rb") as handle:
@@ -374,12 +379,10 @@ def _load_v1(lake: ModelLake, directory: str, manifest: Dict) -> None:
             )
         model = build_model(dict(entry["architecture"]))
         model.load_state_dict(bytes_to_arrays(raw))
-        card = ModelCard(**dict(entry["card"]))
-        history = (
-            _history_from_dict(entry["history"]) if entry.get("history") else None
-        )
+        decoded = record_from_entry(entry)
         record = lake.add_model(
-            model, name=entry["name"], card=card, history=history,
+            model, name=entry["name"], card=decoded.card,
+            history=decoded.history,
             history_public=entry.get("history_public", True),
             weights_public=entry.get("weights_public", True),
             tags=entry.get("tags"), model_id=entry["model_id"],
@@ -426,28 +429,67 @@ def load_lake(directory: str, materialize: bool = False) -> ModelLake:
     legacy npz path.  ``materialize=True`` forces every weight blob
     fully into memory — resident mode, for workloads (or benchmarks)
     that want RAM-speed repeated access at linear memory cost.
+
+    A v2 lake whose ``cache/records.npz`` was written for these exact
+    manifest bytes opens from that table without decoding the manifest
+    (:mod:`repro.lake.table`); its records are decoded as they are first
+    used.  Otherwise the manifest is decoded and, once every check has
+    passed, the table is (re)written for the next load.  Either way the
+    result is the same lake.
     """
     manifest_path = os.path.join(directory, _MANIFEST)
     if not os.path.exists(manifest_path):
         raise LakeError(f"no lake manifest at {manifest_path!r}")
+    table_path = os.path.join(directory, _CACHE_DIR, TABLE_FILE)
+    lake = ModelLake()
     with _gc_paused():
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-
-        lake = ModelLake()
-        layout = ShardLayout.from_manifest(
-            (manifest.get("integrity") or {}).get("layout")
+        table = read_table(
+            table_path, table_key(stream_digest(manifest_path, length=64))
         )
-        if layout is not None:
-            _load_v2(lake, directory, manifest, layout, materialize)
+        if table is not None:
+            _open_table(lake, directory, table, materialize)
+            _check_clock(lake, table.created)
+            datasets = table.datasets
         else:
-            _load_v1(lake, directory, manifest)
-
-        _check_clock(lake, manifest)
+            with open(manifest_path, "rb") as handle:
+                raw = handle.read()
+            manifest = json.loads(raw)
+            entries = sorted(manifest["records"], key=lambda r: r["created_at"])
+            layout = ShardLayout.from_manifest(
+                (manifest.get("integrity") or {}).get("layout")
+            )
+            if layout is not None:
+                _load_v2(lake, directory, entries, layout, materialize)
+            else:
+                _load_v1(lake, directory, entries)
+            lake._clock = manifest.get("clock", lake.clock)
+            _check_clock(lake, [entry["created_at"] for entry in entries])
+            datasets = manifest.get("datasets", [])
+    if table is None and lake.storage_layout is not None:
+        _save_table(table_path, raw, lake, datasets, entries)
     # Outside the pause: reading an npz header leaves a few reference
     # cycles behind (``ast.literal_eval`` closures), one set per archive.
-    _load_datasets(lake, directory, manifest)
+    _load_datasets(lake, directory, datasets)
     return lake
+
+
+def _save_table(
+    path: str, raw: bytes, lake: ModelLake, datasets: List[Dict],
+    entries: List[Dict],
+) -> None:
+    """Write the record table of a v2 lake just loaded from manifest
+    bytes ``raw``, whose ``entries`` are in iteration order.
+
+    A lake whose ``cache/`` cannot be written (a read-only mount, say)
+    still loads; it only misses the table again next time.
+    """
+    key = table_key(stream_digest_fileobj(io.BytesIO(raw), length=64))
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_table(path, key, lake.clock, lake.storage_layout, datasets,
+                    entries, lake.card_texts())
+    except OSError as exc:
+        _log.warning("records.save_failed", path=path, error=str(exc))
 
 
 def migrate_lake(

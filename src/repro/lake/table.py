@@ -1,0 +1,235 @@
+"""The record table: a persisted lake's records as columns, for warm opens.
+
+Decoding ``manifest.json`` and building a :class:`ModelRecord` for every
+entry is most of what opening a large lake costs, yet a search server
+needs only each model's id, weight digest and card text up front, and
+one record's metadata per ``/model`` request.  :func:`load_lake`
+therefore keeps those columns in ``<lake>/cache/records.npz``:
+
+* ``ids``, ``digests``, ``texts`` — model ids, weight digests and
+  :meth:`ModelCard.text` renderings (BM25's documents), in
+  ``created_at`` order;
+* ``entries`` — each record's manifest entry as compact JSON, decoded
+  into a record only when that record is first asked for;
+* ``created``, ``clock``, ``layout``, ``datasets`` — what the load path
+  needs besides the records: the timestamps the clock check reads, the
+  logical clock, the shard layout and the manifest's dataset section.
+
+The ``key`` member is the sha256 of the manifest bytes plus
+:data:`_TABLE_VERSION`, so any change to the manifest, or to the code
+that derives a column, turns the file into a miss.  A table is only
+written after a full load of those exact bytes passed every check, and
+a hit re-runs the clock check on the stored timestamps.
+
+The manifest stays the lake's only source of truth: the table lives in
+``cache/`` (which ``fsck`` ignores), can be deleted at any time, and is
+rewritten by the next load.
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.lake.card import ModelCard
+from repro.lake.record import ModelHistory, ModelRecord
+from repro.lake.shard import ShardLayout
+from repro.reliability.atomic import atomic_write_npz, read_npz
+from repro.transforms.base import TransformRecord
+
+#: The table's file name inside a lake's cache directory.
+TABLE_FILE = "records.npz"
+
+#: Part of every key.  Bump it when the members or their meaning change,
+#: and when :meth:`ModelCard.text` renders differently (the ``texts``
+#: column is derived by it), so every older file reads as a miss.
+_TABLE_VERSION = 1
+
+#: String columns, each stored as one UTF-8 blob plus ``<name>_offsets``.
+_STRING_COLUMNS = ("ids", "digests", "texts", "entries")
+
+#: The members of a table file, in the order :func:`write_table` writes them.
+_MEMBERS = ["key", "clock", "layout", "datasets", "created"] + [
+    member
+    for column in _STRING_COLUMNS
+    for member in (column, f"{column}_offsets")
+]
+
+
+def table_key(manifest_sha256: str) -> str:
+    """The key of the table for a manifest whose bytes hash to ``manifest_sha256``."""
+    return f"records v{_TABLE_VERSION} manifest sha256 {manifest_sha256}"
+
+
+def _history_from_dict(payload: Dict) -> ModelHistory:
+    transform = None
+    if payload.get("transform"):
+        t = payload["transform"]
+        transform = TransformRecord(
+            kind=t["kind"], params=dict(t.get("params") or {}),
+            dataset_digest=t.get("dataset_digest"),
+            dataset_name=t.get("dataset_name"), seed=t.get("seed", 0),
+        )
+    return ModelHistory(
+        parent_ids=tuple(payload.get("parent_ids") or ()),
+        transform=transform,
+        dataset_digest=payload.get("dataset_digest"),
+        dataset_name=payload.get("dataset_name"),
+        algorithm=payload.get("algorithm", "train_from_scratch"),
+        seed=payload.get("seed", 0),
+    )
+
+
+def record_from_entry(entry: Dict) -> ModelRecord:
+    """The record one decoded manifest entry describes."""
+    history = (
+        _history_from_dict(entry["history"]) if entry.get("history") else None
+    )
+    return ModelRecord(
+        model_id=entry["model_id"],
+        name=entry["name"],
+        architecture=dict(entry["architecture"]),
+        weights_digest=entry["weights_digest"],
+        card=ModelCard(**dict(entry["card"])),
+        history=history,
+        history_public=entry.get("history_public", True),
+        weights_public=entry.get("weights_public", True),
+        created_at=entry["created_at"],
+        tags=list(entry.get("tags") or []),
+        eval_metrics={
+            metric: float(value)
+            for metric, value in (entry.get("eval_metrics") or {}).items()
+        },
+    )
+
+
+class RecordTable:
+    """A loaded record table: the columns, and records decoded on demand.
+
+    Row ``i`` of every column describes the same model; rows are in
+    ``created_at`` order.  :meth:`record` decodes a row's entry the
+    first time it is asked for and returns that same object afterwards.
+    """
+
+    def __init__(
+        self,
+        clock: int,
+        layout: ShardLayout,
+        datasets: List[Dict],
+        created: List[int],
+        ids: List[str],
+        digests: List[str],
+        texts: List[str],
+        entries: np.ndarray,
+        entry_offsets: List[int],
+    ):
+        self.clock = clock
+        self.layout = layout
+        self.datasets = datasets
+        self.created = created
+        self.ids = ids
+        self.digests = digests
+        self.texts = texts
+        self._entries = entries
+        self._entry_offsets = entry_offsets
+        self._decoded: List[Optional[ModelRecord]] = [None] * len(ids)
+        # Two threads asking for the same row must get the same record,
+        # or a change made through one copy would be lost.
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def record(self, row: int) -> ModelRecord:
+        """The record of row ``row``, decoded on first use."""
+        record = self._decoded[row]
+        if record is None:
+            with self._lock:
+                record = self._decoded[row]
+                if record is None:
+                    start, stop = self._entry_offsets[row:row + 2]
+                    record = record_from_entry(
+                        json.loads(self._entries[start:stop].tobytes())
+                    )
+                    self._decoded[row] = record
+        return record
+
+
+def _pack(chunks: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
+    """One uint8 blob holding ``chunks`` back to back, plus their bounds."""
+    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
+    np.cumsum([len(chunk) for chunk in chunks], out=offsets[1:])
+    return np.frombuffer(b"".join(chunks), dtype=np.uint8), offsets
+
+
+def _unpack(blob: np.ndarray, offsets: List[int]) -> List[str]:
+    data = blob.tobytes()
+    return [
+        data[start:stop].decode("utf-8", "surrogatepass")
+        for start, stop in zip(offsets, offsets[1:])
+    ]
+
+
+def write_table(
+    path: str,
+    key: str,
+    clock: int,
+    layout: ShardLayout,
+    datasets: List[Dict],
+    entries: Sequence[Dict],
+    texts: Sequence[str],
+) -> None:
+    """Atomically write the table of ``entries`` (in ``created_at``
+    order, with their card ``texts``) to ``path`` under ``key``."""
+
+    def encoded(values):
+        return [value.encode("utf-8", "surrogatepass") for value in values]
+
+    members = {
+        "key": np.array(key),
+        "clock": np.array(clock, dtype=np.int64),
+        "layout": np.array([layout.sharded, layout.prefix_len], dtype=np.int64),
+        "datasets": np.frombuffer(json.dumps(datasets).encode(), dtype=np.uint8),
+        "created": np.array(
+            [entry["created_at"] for entry in entries], dtype=np.int64
+        ),
+    }
+    columns = {
+        "ids": encoded(entry["model_id"] for entry in entries),
+        "digests": encoded(entry["weights_digest"] for entry in entries),
+        "texts": encoded(texts),
+        "entries": [
+            json.dumps(entry, separators=(",", ":")).encode() for entry in entries
+        ],
+    }
+    for name in _STRING_COLUMNS:
+        members[name], members[f"{name}_offsets"] = _pack(columns[name])
+    atomic_write_npz(path, members)
+
+
+def read_table(path: str, key: str) -> Optional[RecordTable]:
+    """The table at ``path`` if it was written under ``key``, else None."""
+    arrays = read_npz(path, _MEMBERS)
+    if arrays is None or arrays["key"].tolist() != key:
+        return None
+    created = arrays["created"].tolist()
+    offsets = {
+        name: arrays[f"{name}_offsets"].tolist() for name in _STRING_COLUMNS
+    }
+    if any(len(bounds) != len(created) + 1 for bounds in offsets.values()):
+        return None
+    sharded, prefix_len = arrays["layout"].tolist()
+    return RecordTable(
+        clock=int(arrays["clock"]),
+        layout=ShardLayout(sharded=bool(sharded), prefix_len=prefix_len),
+        datasets=json.loads(arrays["datasets"].tobytes()),
+        created=created,
+        ids=_unpack(arrays["ids"], offsets["ids"]),
+        digests=_unpack(arrays["digests"], offsets["digests"]),
+        texts=_unpack(arrays["texts"], offsets["texts"]),
+        entries=arrays["entries"],
+        entry_offsets=offsets["entries"],
+    )

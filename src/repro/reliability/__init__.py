@@ -17,39 +17,27 @@ can lose power mid-write.  Four pieces:
   checkpoints backing ``repro generate --resume``.
 """
 
-from repro.reliability.atomic import (
-    atomic_copy_file,
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_npz,
-    fsync_directory,
-)
-from repro.reliability.checkpoint import WaveCheckpoint
-from repro.reliability.digest import STREAM_CHUNK_BYTES, stream_digest
-from repro.reliability.faults import (
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    active_plan,
-    inject_faults,
-)
-from repro.reliability.fsck import FsckFinding, FsckReport, fsck_lake
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "atomic_copy_file",
-    "STREAM_CHUNK_BYTES",
-    "stream_digest",
-    "atomic_write_bytes",
-    "atomic_write_json",
-    "atomic_write_npz",
-    "fsync_directory",
-    "WaveCheckpoint",
-    "FaultPlan",
-    "FaultRule",
-    "InjectedFault",
-    "active_plan",
-    "inject_faults",
-    "FsckFinding",
-    "FsckReport",
-    "fsck_lake",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    "atomic_copy_file": "repro.reliability.atomic",
+    "STREAM_CHUNK_BYTES": "repro.reliability.digest",
+    "stream_digest": "repro.reliability.digest",
+    "atomic_write_bytes": "repro.reliability.atomic",
+    "atomic_write_json": "repro.reliability.atomic",
+    "atomic_write_npz": "repro.reliability.atomic",
+    "fsync_directory": "repro.reliability.atomic",
+    "WaveCheckpoint": "repro.reliability.checkpoint",
+    "FaultPlan": "repro.reliability.faults",
+    "FaultRule": "repro.reliability.faults",
+    "InjectedFault": "repro.reliability.faults",
+    "active_plan": "repro.reliability.faults",
+    "inject_faults": "repro.reliability.faults",
+    "FsckFinding": "repro.reliability.fsck",
+    "FsckReport": "repro.reliability.fsck",
+    "fsck_lake": "repro.reliability.fsck",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,6 +17,12 @@ through each stage; an :class:`~repro.reliability.faults.InjectedFault`
 simulates a kill, so — exactly like a real crash — it leaves the tmp
 file behind for ``repro fsck`` to find, while ordinary exceptions clean
 up after themselves.
+
+:func:`read_npz` is the read side for the archives
+:func:`atomic_write_npz` writes into a lake's ``cache/``: it owns its
+file handle, and any file it cannot read whole (missing, empty, torn,
+not a zip, another layout) comes back as ``None`` for the caller to
+rebuild.
 """
 
 from __future__ import annotations
@@ -24,17 +30,24 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
+import re
+import struct
 import tempfile
-from typing import Any, Mapping
+import zipfile
+import zlib
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import (
     RELIABILITY_ATOMIC_BYTES,
     RELIABILITY_ATOMIC_WRITES,
 )
+from repro.obs.logging import get_logger
 from repro.reliability import faults
 
 __all__ = [
@@ -43,7 +56,10 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_npz",
     "fsync_directory",
+    "read_npz",
 ]
+
+_log = get_logger("reliability.atomic")
 
 
 def fsync_directory(directory: str) -> None:
@@ -178,3 +194,68 @@ def atomic_write_npz(
     buffer = io.BytesIO()
     np.savez(buffer, **dict(arrays))
     atomic_write_bytes(path, buffer.getvalue(), fsync=fsync)
+
+
+#: The ``.npy`` header numpy writes for a C-order array of a fixed-size
+#: dtype.  Anything else (object arrays, Fortran order) is not a member
+#: :func:`atomic_write_npz` wrote, and reads as unreadable.
+_NPY_HEADER = re.compile(
+    r"\{'descr': '([<>|=]?[A-Za-z]\d*)', 'fortran_order': False, "
+    r"'shape': \(([\d, ]*)\), \}\s*\Z"
+)
+
+
+def _npy_array(raw: bytes) -> np.ndarray:
+    """The array one ``.npy`` member holds, as a read-only view of ``raw``.
+
+    Parses the header with a pattern rather than through the archive's
+    own member reader, whose ``ast.literal_eval`` leaves reference
+    cycles for the collector on every member, and requires the data to
+    fill the rest of the member exactly.
+    """
+    if raw[:6] != b"\x93NUMPY":
+        raise ValueError("not an .npy member")
+    size_format, start = ("<H", 10) if raw[6] == 1 else ("<I", 12)
+    (length,) = struct.unpack_from(size_format, raw, 8)
+    match = _NPY_HEADER.match(raw[start:start + length].decode("latin-1"))
+    if match is None:
+        raise ValueError("unsupported .npy header")
+    dtype = np.dtype(match.group(1))
+    shape = tuple(int(dim) for dim in match.group(2).split(",") if dim.strip())
+    offset = start + length
+    count = math.prod(shape)
+    if dtype.hasobject or len(raw) - offset != count * dtype.itemsize:
+        raise ValueError("member data does not match its header")
+    return np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
+
+
+def read_npz(
+    path: str, members: Sequence[str]
+) -> Optional[Dict[str, np.ndarray]]:
+    """The arrays of the ``.npz`` archive at ``path``, or None.
+
+    The archive must hold exactly ``members``, in that order, as
+    :func:`atomic_write_npz` writes them; arrays come back read-only.  A
+    missing file or one with other members is None quietly.  A file
+    that cannot be read (empty, truncated, not a zip, a bare ``.npy``,
+    a damaged member) is None with a warning.  The handle is closed on
+    every path.
+    """
+    try:
+        with open(path, "rb") as handle:
+            archive = np.load(handle)  # allow_pickle=False: never unpickles
+            if not isinstance(archive, NpzFile):
+                raise ValueError("not an .npz archive")
+            with archive:
+                if archive.files != list(members):
+                    return None
+                return {
+                    name: _npy_array(archive.zip.read(f"{name}.npy"))
+                    for name in members
+                }
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, EOFError, struct.error, zlib.error,
+            zipfile.BadZipFile) as exc:
+        _log.warning("npz.unreadable", path=path, error=str(exc))
+        return None

@@ -8,6 +8,12 @@ makes the ownership explicit — the snapshot owns every handle its
 engine's warm-up opened, and ``close()`` releases them
 deterministically.
 
+A warm open reads only derived files under ``<dir>/cache``: the record
+table (ids, weight digests and card texts, so no record is built until
+a request asks for one), the frozen BM25 table and one embedding matrix
+per space.  Each is keyed by what it was derived from, and any that is
+missing, stale or unreadable is rebuilt and rewritten by the open.
+
 Hot swap works by *replacing*, never mutating: ``reload()`` builds a
 completely fresh snapshot from disk (new lake, new engine, new memmaps)
 and the server swaps its reference, then closes the old snapshot.
@@ -34,9 +40,9 @@ class LakeSnapshot:
 
     Build with :meth:`open`; release with :meth:`close` (or use as a
     context manager).  The engine is constructed eagerly so the first
-    request never pays index warm-up, and the embedding cache under
-    ``<dir>/cache`` makes that warm-up skip model rehydration entirely
-    when vectors are already on disk.
+    request never pays index warm-up, and the caches under
+    ``<dir>/cache`` make that warm-up skip manifest decoding, card
+    tokenizing and model rehydration when they are current.
     """
 
     def __init__(self, directory: str, lake, engine: SearchEngine):

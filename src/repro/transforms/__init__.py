@@ -1,34 +1,30 @@
 """Model derivation operators — the edges of the lake's version graphs."""
 
-from repro.transforms.base import (
-    TRANSFORM_KINDS,
-    TransformRecord,
-    clone_model,
-    flatten_state,
-    weight_delta,
-)
-from repro.transforms.finetune import (
-    finetune_classifier,
-    finetune_language_model,
-    preference_tune,
-)
-from repro.transforms.lora import LoRALinear, lora_adapt_classifier
-from repro.transforms.editing import edit_classifier
-from repro.transforms.distill import distill_classifier
-from repro.transforms.prune import prune_model
-from repro.transforms.quantize import quantize_model
-from repro.transforms.merge import merge_models
-from repro.transforms.stitch import StitchedTextClassifier, stitch_classifiers
+# Imported eagerly: importing stitch registers the stitched model family
+# with ``build_model``, which any lake holding a stitched model needs.
+from repro.transforms import stitch  # noqa: F401
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "TRANSFORM_KINDS", "TransformRecord", "clone_model", "flatten_state",
-    "weight_delta",
-    "finetune_classifier", "finetune_language_model", "preference_tune",
-    "LoRALinear", "lora_adapt_classifier",
-    "edit_classifier",
-    "distill_classifier",
-    "prune_model",
-    "quantize_model",
-    "merge_models",
-    "StitchedTextClassifier", "stitch_classifiers",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    "TRANSFORM_KINDS": "repro.transforms.base",
+    "TransformRecord": "repro.transforms.base",
+    "clone_model": "repro.transforms.base",
+    "flatten_state": "repro.transforms.base",
+    "weight_delta": "repro.transforms.base",
+    "finetune_classifier": "repro.transforms.finetune",
+    "finetune_language_model": "repro.transforms.finetune",
+    "preference_tune": "repro.transforms.finetune",
+    "LoRALinear": "repro.transforms.lora",
+    "lora_adapt_classifier": "repro.transforms.lora",
+    "edit_classifier": "repro.transforms.editing",
+    "distill_classifier": "repro.transforms.distill",
+    "prune_model": "repro.transforms.prune",
+    "quantize_model": "repro.transforms.quantize",
+    "merge_models": "repro.transforms.merge",
+    "StitchedTextClassifier": "repro.transforms.stitch",
+    "stitch_classifiers": "repro.transforms.stitch",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -145,6 +145,7 @@ class TestShardedLakeCache:
         assert len(behavioral) == 1 and behavioral[0].endswith(".npz")
         assert set(names) == {
             behavioral[0], "embeddings-weightstat-s4.npz", "bm25.npz",
+            "records.npz",
         }
 
     def test_prefix_directories_read_as_misses_once(self, probes, sharded_dir):

@@ -5,7 +5,10 @@ first request.  scipy (``scipy.stats`` alone is ~0.5 s) and networkx
 (~18 MiB of RSS) are needed only by version recovery and the version
 graph, and ``repro.analysis`` only by the lint and graph commands, so
 none of them may load on the way to a server -- neither at import nor
-when a snapshot opens a lake that carries dataset lineage.
+when a snapshot opens a lake that carries dataset lineage.  Within
+``repro`` itself, the entry points load only the serving closure: the
+package ``__init__`` files resolve their exports lazily and each CLI
+command imports what only it uses.
 """
 
 import json
@@ -39,7 +42,19 @@ LakeSnapshot.open({directory!r}).close()
 """ + _HEAVY
 
 
-def _heavy_modules_after(source: str):
+_REPRO = """
+import json, sys
+import repro.cli, repro.serve
+print(json.dumps(sorted(
+    name for name in sys.modules if name.split(".")[0] == "repro"
+)))
+"""
+
+#: Most ``repro`` modules ``import repro.cli, repro.serve`` may load.
+REPRO_MODULE_CEILING = 62
+
+
+def _modules_after(source: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [_SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -53,7 +68,7 @@ def _heavy_modules_after(source: str):
 
 @pytest.mark.parametrize("module", ["repro.cli", "repro.serve"])
 def test_entry_point_imports_no_scipy_or_analysis(module):
-    assert _heavy_modules_after(_IMPORT_PROBE.format(module=module)) == []
+    assert _modules_after(_IMPORT_PROBE.format(module=module)) == []
 
 
 def test_snapshot_open_with_lineage_imports_no_heavy_modules(lake_bundle, tmp_path):
@@ -61,4 +76,13 @@ def test_snapshot_open_with_lineage_imports_no_heavy_modules(lake_bundle, tmp_pa
     directory = str(tmp_path / "lake")
     save_lake(lake_bundle.lake, directory, sharded=True)
     probe = _SNAPSHOT_PROBE.format(directory=directory)
-    assert _heavy_modules_after(probe) == []
+    assert _modules_after(probe) == []
+
+
+def test_entry_points_load_only_the_serving_closure():
+    modules = _modules_after(_REPRO)
+    assert len(modules) <= REPRO_MODULE_CEILING, modules
+    for unused in ("repro.core.attribution", "repro.core.audit",
+                   "repro.lake.generator", "repro.lake.stats",
+                   "repro.reliability.fsck", "repro.transforms.finetune"):
+        assert unused not in modules
