@@ -15,7 +15,7 @@ shared probe set) support three query shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,8 +26,10 @@ from repro.index.cache import EmbeddingCache
 from repro.index.embedders import BehavioralEmbedder, l2_normalize
 from repro.index.flat import FlatIndex
 from repro.lake.lake import ModelLake
-from repro.nn.module import Module
 from repro.utils.text import simple_tokenize
+
+if TYPE_CHECKING:
+    from repro.nn.module import Module
 
 
 @dataclass

@@ -30,7 +30,6 @@ from repro.errors import ConfigError, ModelNotFoundError
 from repro.index.cache import EmbeddingCache
 from repro.index.embedders import WeightStatEmbedder
 from repro.lake.lake import ModelLake
-from repro.nn.module import Module
 from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import (
     SEARCH_ENGINE_BUILDS,
@@ -42,6 +41,7 @@ from repro.obs.tracing import trace
 
 if TYPE_CHECKING:
     from repro.core.search.dataset_search import DatasetSearchHit
+    from repro.nn.module import Module
 
 _log = get_logger("search.engine")
 

@@ -18,7 +18,7 @@ dot product everywhere downstream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -26,9 +26,11 @@ from repro.data.probes import ProbeSet
 from repro.data.domains import domain_index
 from repro.errors import ConfigError
 from repro.lake.card import ModelCard
-from repro.nn.module import Module
 from repro.utils.hashing import array_digest, text_digest
 from repro.utils.text import simple_tokenize
+
+if TYPE_CHECKING:
+    from repro.nn.module import Module
 
 
 def l2_normalize(vector: np.ndarray) -> np.ndarray:

@@ -68,7 +68,9 @@ class FlatIndex:
         self._ids: List[str] = []
         self._vectors: Optional[np.ndarray] = None
         self._pending: List[np.ndarray] = []
-        self._id_to_row: Dict[str, int] = {}
+        # Id -> its first row, built by the first ``vector_of`` after a
+        # change; None until then (only ``vector_of`` reads it).
+        self._id_to_row: Optional[Dict[str, int]] = None
         # Row -> position of its id in sorted id order: the tie-break
         # key of :func:`top_k`, recomputed whenever rows are materialized.
         self._id_rank: np.ndarray = np.empty(0, dtype=np.int64)
@@ -96,7 +98,7 @@ class FlatIndex:
                     f"vector dim {vector.shape[0]} != index dim {dim}"
                 )
             self._pending.append(vector)
-            self._id_to_row.setdefault(item_id, len(self._ids))
+            self._id_to_row = None
             self._ids.append(item_id)
 
     def _materialize_locked(
@@ -132,16 +134,13 @@ class FlatIndex:
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms < 1e-12] = 1.0
         normalized = vectors / norms
-        id_to_row: Dict[str, int] = {}
-        for row, item_id in enumerate(ids):
-            id_to_row.setdefault(item_id, row)
         ids = list(ids)
         id_rank = id_ranks(ids)
         with self._lock:
             self._vectors = normalized
             self._ids = ids
             self._pending = []
-            self._id_to_row = id_to_row
+            self._id_to_row = None
             self._id_rank = id_rank
 
     def query(self, vector: np.ndarray, k: int = 10) -> List[Tuple[str, float]]:
@@ -190,6 +189,10 @@ class FlatIndex:
 
     def vector_of(self, item_id: str) -> np.ndarray:
         with self._lock:
+            if self._id_to_row is None:
+                self._id_to_row = {}
+                for row, known in enumerate(self._ids):
+                    self._id_to_row.setdefault(known, row)
             row = self._id_to_row.get(item_id)
             if row is None:
                 raise IndexError_(f"id not in index: {item_id!r}")

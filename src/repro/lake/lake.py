@@ -34,15 +34,15 @@ from repro.errors import (
 from repro.lake.card import ModelCard
 from repro.lake.record import ModelHistory, ModelRecord
 from repro.lake.store import WeightStore
-from repro.nn.models import build_model
-from repro.nn.module import Module
 from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import LAKE_MODEL_LOADS, LAKE_MODELS_ADDED
 from repro.obs.tracing import trace
+from repro.transforms.base import rebuild_model
 from repro.utils.hashing import combine_digests, stable_hash
 
 if TYPE_CHECKING:
     from repro.lake.table import RecordTable
+    from repro.nn.module import Module
 
 # Resolved once at import (registry.reset() zeroes it in place): a lake
 # open registers every record, so a per-call lookup would scale with it.
@@ -76,7 +76,7 @@ class ModelLake:
     # ------------------------------------------------------------------
     def add_model(
         self,
-        model: Module,
+        model: "Module",
         name: str,
         card: Optional[ModelCard] = None,
         history: Optional[ModelHistory] = None,
@@ -162,7 +162,7 @@ class ModelLake:
     def _column(
         self, name: str, derive: Callable[[ModelRecord], str]
     ) -> List[str]:
-        """``derive(record)`` for every record in iteration order, read
+        """``derive(record)`` for every record in iteration order, decoded
         from the record table's column ``name`` while it still describes
         this lake.
 
@@ -172,7 +172,7 @@ class ModelLake:
         table = self._table
         if (table is not None and table.clock == self._clock
                 and len(table) == len(self._records)):
-            return list(getattr(table, name))
+            return table.column(name)
         return [derive(record) for record in self]
 
     def model_ids(self) -> List[str]:
@@ -196,7 +196,7 @@ class ModelLake:
             return self._table.record(record)
         return record
 
-    def get_model(self, model_id: str, force: bool = False) -> Module:
+    def get_model(self, model_id: str, force: bool = False) -> "Module":
         """Rehydrate a model's Module from stored weights (intrinsics).
 
         Raises :class:`IntrinsicsUnavailableError` for API-only models
@@ -210,7 +210,7 @@ class ModelLake:
             )
         with trace("lake.get_model", model_id=model_id):
             obs_metrics.inc(LAKE_MODEL_LOADS)
-            model = build_model(record.architecture)
+            model = rebuild_model(record.architecture)
             model.load_state_dict(self._weights.get(record.weights_digest))
             model.eval()
             return model

@@ -80,6 +80,7 @@ from repro.lake.table import (
 from repro.obs.logging import get_logger
 from repro.reliability.atomic import atomic_write_bytes
 from repro.reliability.digest import stream_digest, stream_digest_fileobj
+from repro.transforms.base import rebuild_model
 from repro.utils.hashing import bytes_digest
 from repro.utils.serialization import (
     arrays_to_bytes,
@@ -352,7 +353,7 @@ def _open_table(
     lake.register_table(table)
     lake._clock = table.clock
     if materialize:
-        for digest in table.digests:
+        for digest in table.column("digests"):
             lake.weights.materialize(digest)
 
 
@@ -364,8 +365,6 @@ def _load_v1(lake: ModelLake, directory: str, entries: List[Dict]) -> None:
     verified against the manifest's digest instead, which is what the
     v1 integrity section actually pinned.
     """
-    from repro.nn.models import build_model
-
     for entry in entries:
         entry_digest = entry["weights_digest"]
         path = os.path.join(directory, "weights", f"{entry_digest}.npz")
@@ -377,7 +376,7 @@ def _load_v1(lake: ModelLake, directory: str, entries: List[Dict]) -> None:
                 f"weights digest mismatch for {entry['model_id']!r}: "
                 f"{actual} != {entry_digest}"
             )
-        model = build_model(dict(entry["architecture"]))
+        model = rebuild_model(dict(entry["architecture"]))
         model.load_state_dict(bytes_to_arrays(raw))
         decoded = record_from_entry(entry)
         record = lake.add_model(
@@ -448,7 +447,7 @@ def load_lake(directory: str, materialize: bool = False) -> ModelLake:
         )
         if table is not None:
             _open_table(lake, directory, table, materialize)
-            _check_clock(lake, table.created)
+            _check_clock(lake, table.created.tolist())
             datasets = table.datasets
         else:
             with open(manifest_path, "rb") as handle:

@@ -8,12 +8,19 @@ therefore keeps those columns in ``<lake>/cache/records.npz``:
 
 * ``ids``, ``digests``, ``texts`` — model ids, weight digests and
   :meth:`ModelCard.text` renderings (BM25's documents), in
-  ``created_at`` order;
-* ``entries`` — each record's manifest entry as compact JSON, decoded
-  into a record only when that record is first asked for;
+  ``created_at`` order, each a UTF-8 blob plus ``<name>_offsets``;
+* ``entries`` — each record's manifest entry as compact JSON, in zlib
+  blocks of :data:`_BLOCK` entries bounded by ``entry_blocks``;
+  ``entries_offsets`` bounds each entry in the uncompressed stream.  A
+  record is decoded only when it is first asked for;
 * ``created``, ``clock``, ``layout``, ``datasets`` — what the load path
   needs besides the records: the timestamps the clock check reads, the
   logical clock, the shard layout and the manifest's dataset section.
+
+An open table stays packed: only ``ids`` is decoded up front, the
+``digests`` and ``texts`` columns are decoded on each
+:meth:`RecordTable.column` call, and the entries stay compressed but
+for the one block last read.
 
 The ``key`` member is the sha256 of the manifest bytes plus
 :data:`_TABLE_VERSION`, so any change to the manifest, or to the code
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import json
 import threading
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,9 +54,14 @@ TABLE_FILE = "records.npz"
 #: Part of every key.  Bump it when the members or their meaning change,
 #: and when :meth:`ModelCard.text` renders differently (the ``texts``
 #: column is derived by it), so every older file reads as a miss.
-_TABLE_VERSION = 1
+_TABLE_VERSION = 2
 
-#: String columns, each stored as one UTF-8 blob plus ``<name>_offsets``.
+#: Entries per zlib block of the ``entries`` column.
+_BLOCK = 64
+
+#: String columns, each stored as one blob plus ``<name>_offsets``
+#: (the ``entries`` blob holds zlib blocks; its offsets bound each
+#: entry in the decompressed stream).
 _STRING_COLUMNS = ("ids", "digests", "texts", "entries")
 
 #: The members of a table file, in the order :func:`write_table` writes them.
@@ -56,7 +69,7 @@ _MEMBERS = ["key", "clock", "layout", "datasets", "created"] + [
     member
     for column in _STRING_COLUMNS
     for member in (column, f"{column}_offsets")
-]
+] + ["entry_blocks"]
 
 
 def table_key(manifest_sha256: str) -> str:
@@ -119,22 +132,26 @@ class RecordTable:
         clock: int,
         layout: ShardLayout,
         datasets: List[Dict],
-        created: List[int],
+        created: np.ndarray,
         ids: List[str],
-        digests: List[str],
-        texts: List[str],
+        columns: Dict[str, Tuple[np.ndarray, np.ndarray]],
         entries: np.ndarray,
-        entry_offsets: List[int],
+        entry_offsets: np.ndarray,
+        entry_blocks: np.ndarray,
     ):
         self.clock = clock
         self.layout = layout
         self.datasets = datasets
         self.created = created
         self.ids = ids
-        self.digests = digests
-        self.texts = texts
+        #: ``digests`` and ``texts``: each its blob and offsets.
+        self._columns = columns
         self._entries = entries
         self._entry_offsets = entry_offsets
+        self._entry_blocks = entry_blocks
+        # The last block decompressed, so a walk in row order
+        # decompresses each block once.
+        self._block: Tuple[int, bytes] = (-1, b"")
         self._decoded: List[Optional[ModelRecord]] = [None] * len(ids)
         # Two threads asking for the same row must get the same record,
         # or a change made through one copy would be lost.
@@ -143,6 +160,12 @@ class RecordTable:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def column(self, name: str) -> List[str]:
+        """A fresh list of column ``name``: ``ids``, ``digests`` or ``texts``."""
+        if name == "ids":
+            return list(self.ids)
+        return _unpack(*self._columns[name])
+
     def record(self, row: int) -> ModelRecord:
         """The record of row ``row``, decoded on first use."""
         record = self._decoded[row]
@@ -150,26 +173,39 @@ class RecordTable:
             with self._lock:
                 record = self._decoded[row]
                 if record is None:
-                    start, stop = self._entry_offsets[row:row + 2]
-                    record = record_from_entry(
-                        json.loads(self._entries[start:stop].tobytes())
-                    )
+                    record = record_from_entry(json.loads(self._entry(row)))
                     self._decoded[row] = record
         return record
+
+    def _entry(self, row: int) -> bytes:
+        """Row ``row``'s entry JSON; the caller holds the lock."""
+        block = row // _BLOCK
+        if self._block[0] != block:
+            start, stop = self._entry_blocks[block:block + 2]
+            self._block = (block, zlib.decompress(self._entries[start:stop]))
+        base = self._entry_offsets[block * _BLOCK]
+        start, stop = self._entry_offsets[row:row + 2] - base
+        return self._block[1][start:stop]
+
+
+def _bounds(chunks: Sequence[bytes]) -> np.ndarray:
+    """The offsets of ``chunks`` laid back to back: ``len(chunks) + 1`` bounds."""
+    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
+    np.cumsum([len(chunk) for chunk in chunks], out=offsets[1:])
+    return offsets
 
 
 def _pack(chunks: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
     """One uint8 blob holding ``chunks`` back to back, plus their bounds."""
-    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
-    np.cumsum([len(chunk) for chunk in chunks], out=offsets[1:])
-    return np.frombuffer(b"".join(chunks), dtype=np.uint8), offsets
+    return np.frombuffer(b"".join(chunks), dtype=np.uint8), _bounds(chunks)
 
 
-def _unpack(blob: np.ndarray, offsets: List[int]) -> List[str]:
+def _unpack(blob: np.ndarray, offsets: np.ndarray) -> List[str]:
     data = blob.tobytes()
+    bounds = offsets.tolist()
     return [
         data[start:stop].decode("utf-8", "surrogatepass")
-        for start, stop in zip(offsets, offsets[1:])
+        for start, stop in zip(bounds, bounds[1:])
     ]
 
 
@@ -197,17 +233,19 @@ def write_table(
             [entry["created_at"] for entry in entries], dtype=np.int64
         ),
     }
-    columns = {
-        "ids": encoded(entry["model_id"] for entry in entries),
-        "digests": encoded(entry["weights_digest"] for entry in entries),
-        "texts": encoded(texts),
-        "entries": [
-            json.dumps(entry, separators=(",", ":")).encode() for entry in entries
-        ],
-    }
-    for name in _STRING_COLUMNS:
-        members[name], members[f"{name}_offsets"] = _pack(columns[name])
-    atomic_write_npz(path, members)
+    for name, values in (
+        ("ids", encoded(entry["model_id"] for entry in entries)),
+        ("digests", encoded(entry["weights_digest"] for entry in entries)),
+        ("texts", encoded(texts)),
+    ):
+        members[name], members[f"{name}_offsets"] = _pack(values)
+    raw = [json.dumps(entry, separators=(",", ":")).encode() for entry in entries]
+    members["entries"], members["entry_blocks"] = _pack([
+        zlib.compress(b"".join(raw[start:start + _BLOCK]))
+        for start in range(0, len(raw), _BLOCK)
+    ])
+    members["entries_offsets"] = _bounds(raw)
+    atomic_write_npz(path, {name: members[name] for name in _MEMBERS})
 
 
 def read_table(path: str, key: str) -> Optional[RecordTable]:
@@ -215,11 +253,11 @@ def read_table(path: str, key: str) -> Optional[RecordTable]:
     arrays = read_npz(path, _MEMBERS)
     if arrays is None or arrays["key"].tolist() != key:
         return None
-    created = arrays["created"].tolist()
-    offsets = {
-        name: arrays[f"{name}_offsets"].tolist() for name in _STRING_COLUMNS
-    }
-    if any(len(bounds) != len(created) + 1 for bounds in offsets.values()):
+    created = arrays["created"]
+    rows = len(created)
+    if any(
+        len(arrays[f"{name}_offsets"]) != rows + 1 for name in _STRING_COLUMNS
+    ) or len(arrays["entry_blocks"]) != -(-rows // _BLOCK) + 1:
         return None
     sharded, prefix_len = arrays["layout"].tolist()
     return RecordTable(
@@ -227,9 +265,12 @@ def read_table(path: str, key: str) -> Optional[RecordTable]:
         layout=ShardLayout(sharded=bool(sharded), prefix_len=prefix_len),
         datasets=json.loads(arrays["datasets"].tobytes()),
         created=created,
-        ids=_unpack(arrays["ids"], offsets["ids"]),
-        digests=_unpack(arrays["digests"], offsets["digests"]),
-        texts=_unpack(arrays["texts"], offsets["texts"]),
+        ids=_unpack(arrays["ids"], arrays["ids_offsets"]),
+        columns={
+            name: (arrays[name], arrays[f"{name}_offsets"])
+            for name in ("digests", "texts")
+        },
         entries=arrays["entries"],
-        entry_offsets=offsets["entries"],
+        entry_offsets=arrays["entries_offsets"],
+        entry_blocks=arrays["entry_blocks"],
     )

@@ -1,8 +1,5 @@
 """Model derivation operators — the edges of the lake's version graphs."""
 
-# Imported eagerly: importing stitch registers the stitched model family
-# with ``build_model``, which any lake holding a stitched model needs.
-from repro.transforms import stitch  # noqa: F401
 from repro.utils.lazy import lazy_exports
 
 #: Public name -> the module defining it, imported on first use.

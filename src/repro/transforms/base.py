@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.module import Module
-from repro.nn.models import build_model
+if TYPE_CHECKING:
+    from repro.nn.module import Module
 
 #: Canonical transform kind names (used by edge classification and docs).
 TRANSFORM_KINDS = (
@@ -46,6 +46,22 @@ class TransformRecord:
         return f"{self.kind}{data} {self.params}"
 
 
+def rebuild_model(spec: Dict) -> Module:
+    """:func:`repro.nn.models.build_model` for ``spec``, stitched models too.
+
+    The stitched family registers its builder when
+    :mod:`repro.transforms.stitch` is imported, so that import happens
+    here, the first time such a spec is rebuilt, rather than on every
+    import of this package.
+    """
+    from repro.nn.models import build_model
+
+    if spec.get("family") == "stitched_text_classifier":
+        from repro.transforms import stitch  # noqa: F401
+
+    return build_model(spec)
+
+
 def clone_model(model: Module) -> Module:
     """Deep-copy a model: same architecture spec, same weights, new object.
 
@@ -56,7 +72,7 @@ def clone_model(model: Module) -> Module:
     spec = getattr(model, "architecture_spec", None)
     if spec is None:
         return copy.deepcopy(model)
-    clone = build_model(spec())
+    clone = rebuild_model(spec())
     clone.load_state_dict(model.state_dict())
     clone.eval()
     return clone

@@ -8,6 +8,7 @@ accessor and in a new :class:`SearchEngine`.
 
 import errno
 import hashlib
+import json
 import os
 import shutil
 import sys
@@ -224,7 +225,7 @@ class TestCardTextIsPinned:
             "acc 0.912 f1 0.500\n"
             "lakebench x"
         )
-        assert record_table._TABLE_VERSION == 1
+        assert record_table._TABLE_VERSION == 2
 
 
 @pytest.fixture()
@@ -305,9 +306,24 @@ class TestInvalidation:
         # A file in another layout is a quiet miss; a damaged one warns.
         assert events.warnings == ([] if kind == "foreign" else ["npz.unreadable"])
 
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_entry_blocks_not_matching_the_rows(self, lake_dir, change):
+        _warm(lake_dir)
+        path = _table_path(lake_dir)
+        arrays = atomic.read_npz(path, record_table._MEMBERS)
+        blocks = arrays["entry_blocks"]
+        arrays["entry_blocks"] = (
+            np.append(blocks, blocks[-1]) if change > 0 else blocks[:-1]
+        )
+        atomic.atomic_write_npz(path, arrays)
+        assert record_table.read_table(path, _manifest_key(lake_dir)) is None
+        self._assert_rebuilt(lake_dir)
+
     def test_newer_table_version_reads_as_miss(self, lake_dir, monkeypatch):
         _warm(lake_dir)
-        monkeypatch.setattr(record_table, "_TABLE_VERSION", 2)
+        monkeypatch.setattr(
+            record_table, "_TABLE_VERSION", record_table._TABLE_VERSION + 1
+        )
         self._assert_rebuilt(lake_dir)
 
     def test_read_only_cache_still_serves_with_a_warning(self, lake_dir, monkeypatch):
@@ -372,6 +388,49 @@ def test_concurrent_first_access_decodes_each_record_once(lake_dir):
     for records in seen:
         assert len(records) == len(ids)
         assert all(a is b for a, b in zip(records, seen[0]))
+
+
+def _small_lake(directory, count):
+    spec = {"family": "mlp_classifier", "in_features": 2, "num_classes": 2,
+            "hidden": [2]}
+    lake = ModelLake()
+    for index in range(count):
+        lake.add_model(
+            build_model(spec, seed=index), name=f"m{index}",
+            card=ModelCard(model_name=f"m{index}", description=_WORDS[index % 10]),
+            tags=[str(index)],
+        )
+    save_lake(lake, directory, sharded=True)
+
+
+class TestEntryBlocks:
+    """Entries are stored in zlib blocks of ``_BLOCK`` rows."""
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+    def test_every_row_decodes_to_its_manifest_entry(self, tmp_path, count):
+        directory = str(tmp_path / "lake")
+        _small_lake(directory, count)
+        table = _warm(directory)[1]._table
+        with open(os.path.join(directory, "manifest.json")) as handle:
+            entries = sorted(json.load(handle)["records"],
+                             key=lambda entry: entry["created_at"])
+        assert len(table) == len(entries) == count
+        # Rows out of order, so every block is entered from another one.
+        for row in [*range(0, count, 2), *range(1, count, 2)]:
+            assert table.record(row) == record_table.record_from_entry(entries[row])
+
+    def test_a_walk_decompresses_each_block_once(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "lake")
+        _small_lake(directory, 129)
+        warm = _warm(directory)[1]
+        calls = []
+        decompress = record_table.zlib.decompress
+        monkeypatch.setattr(
+            record_table.zlib, "decompress",
+            lambda data: calls.append(len(data)) or decompress(data),
+        )
+        assert [record.name for record in warm] == [f"m{i}" for i in range(129)]
+        assert len(calls) == 3  # 64 + 64 + 1 rows
 
 
 class TestMutationsAfterWarmLoad:
