@@ -1,13 +1,14 @@
 """Static analysis: AST-based enforcement of the repo's invariants.
 
-The lake's guarantees — bit-reproducible generation, pickle-safe pool
-tasks, structured observability — are source-level properties, so this
-package checks them at the source level, before any test runs:
+The lake's guarantees — bit-reproducible generation, stable digests,
+pickle-safe pool tasks, crash-safe artifact writes — are source-level
+properties, so this package checks them at the source level, before any
+test runs:
 
 * :mod:`repro.analysis.core` — :class:`Finding`, :class:`Rule`, the
   pluggable rule registry;
-* :mod:`repro.analysis.rules` — the built-in determinism, pool-safety,
-  obs-convention, and API-hygiene rules;
+* :mod:`repro.analysis.rules` — the per-file determinism, pool-safety,
+  and artifact-reliability rules;
 * :mod:`repro.analysis.pragmas` — ``# repro: noqa[rule]`` line pragmas;
 * :mod:`repro.analysis.baseline` — ``.repro-lint.json``, the justified-
   exception ledger;
@@ -18,7 +19,7 @@ package checks them at the source level, before any test runs:
   graphs, the ``.repro-arch.toml`` layer contract, and interprocedural
   rules;
 * :mod:`repro.analysis.dataflow` — CFGs, a fixpoint solver, taint, and
-  the concurrency/resource-safety rule pack;
+  the digest-purity and async-blocking rules;
 * :mod:`repro.analysis.runner` / :mod:`repro.analysis.report` — the
   sweep and its text/JSON rendering, surfaced as ``repro lint`` and
   ``repro graph``.

@@ -139,7 +139,9 @@ class LintCache:
             if tmp_path is not None:
                 try:
                     os.unlink(tmp_path)
-                except OSError:  # repro: noqa[swallowed-exception]
+                except OSError:
+                    # Best effort: the cache is optional and the write
+                    # has already failed.
                     pass
             return
         self._dirty = False

@@ -33,11 +33,6 @@ __all__ = [
     "rules_fingerprint",
 ]
 
-#: Paths (relative to the lint root, posix-style) that carry roles.
-LIBRARY_PREFIX = "src/repro/"
-CLI_SUFFIX = "repro/cli.py"
-
-
 @dataclass(frozen=True, order=True)
 class Finding:
     """One diagnostic: a rule violated at a position in a file."""
@@ -139,19 +134,6 @@ class FileContext:
 
     def __post_init__(self) -> None:
         self.imports = ImportMap(self.tree)
-
-    # -- role flags ----------------------------------------------------
-    @property
-    def is_library(self) -> bool:
-        return self.rel_path.startswith(LIBRARY_PREFIX)
-
-    @property
-    def is_cli(self) -> bool:
-        return self.rel_path.endswith(CLI_SUFFIX)
-
-    @property
-    def is_benchmark(self) -> bool:
-        return self.rel_path.startswith("benchmarks/")
 
 
 class Rule:

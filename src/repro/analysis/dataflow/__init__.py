@@ -1,25 +1,24 @@
 """Dataflow analysis: CFGs, fixpoint solving, and taint over the call graph.
 
 Per-file AST rules see syntax; graph rules see module topology.  Neither
-can answer *flow* questions: does this handle close on every path, does
-this clock value reach a digest, does this memmap view outlive the file
-backing it?  This subpackage supplies the machinery:
+can answer *flow* questions: does this clock value reach a digest, does
+this coroutine reach a blocking call?  This subpackage supplies the
+machinery:
 
 * :mod:`repro.analysis.dataflow.cfg` — per-function control-flow graphs
   covering branches, loops, ``try/except/finally``, ``with``, ``match``,
   and comprehension back edges;
 * :mod:`repro.analysis.dataflow.solver` — a generic forward worklist
-  fixpoint solver that the taint and resource analyses instantiate;
+  fixpoint solver that the taint analysis instantiates;
 * :mod:`repro.analysis.dataflow.taint` — intraprocedural taint
   propagation with def-use chains, from nondeterminism sources to
   digest sinks;
 * :mod:`repro.analysis.dataflow.summaries` — per-function summaries
-  (blocking calls, taint returns, sink parameters, shared-state
-  read/write sets) that make the analysis interprocedural by keying
-  through the existing :class:`~repro.analysis.graph.callgraph.CallGraph`;
-* :mod:`repro.analysis.dataflow.rules` — the concurrency/resource-safety
-  rule pack (shared-state-race, blocking-call-in-async, memmap-escape,
-  impure-digest-flow, resource-leak);
+  (blocking calls, taint returns, sink parameters) that make the
+  analysis interprocedural by keying through the existing
+  :class:`~repro.analysis.graph.callgraph.CallGraph`;
+* :mod:`repro.analysis.dataflow.rules` — the dataflow rule pack
+  (blocking-call-in-async, impure-digest-flow);
 * :mod:`repro.analysis.dataflow.engine` — incremental evaluation, cached
   in the lint cache per dependency digest (engine version included, so
   engine upgrades invalidate cleanly), surfaced as

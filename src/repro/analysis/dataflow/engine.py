@@ -89,8 +89,6 @@ class DataflowEngine:
         if module_model is None or module_model.parse_error:
             return [], 0
         ctx = DataflowContext(
-            project=self.project,
-            models=self.models,
             summaries=self.summaries,
             rel_path=rel_path,
             module_model=module_model,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.core import ImportMap
 from repro.analysis.dataflow.cfg import CFG, build_cfg
@@ -28,7 +28,7 @@ __all__ = ["FunctionModel", "ModuleModel", "ModelIndex"]
 
 @dataclass
 class FunctionModel:
-    """One analyzable function: its AST, scope info, and a lazy CFG."""
+    """One analyzable function: its AST, imports, and a lazy CFG."""
 
     module: str
     rel_path: str
@@ -38,7 +38,6 @@ class FunctionModel:
     is_async: bool
     class_name: Optional[str] = None
     _cfg: Optional[CFG] = field(default=None, repr=False)
-    _locals: Optional[Set[str]] = field(default=None, repr=False)
 
     @property
     def fq(self) -> str:
@@ -63,46 +62,9 @@ class FunctionModel:
             names.append(args.kwarg.arg)
         return names
 
-    def local_names(self) -> Set[str]:
-        """Every name bound inside the function (params included).
-
-        Used to tell locals apart from module globals and closure
-        captures.  ``global``-declared names are *excluded* — binding
-        one writes the module, not the local scope.
-        """
-        if self._locals is not None:
-            return self._locals
-        bound: Set[str] = set(self.params())
-        global_names: Set[str] = set()
-        for child in ast.walk(self.node):
-            if isinstance(child, ast.Global):
-                global_names.update(child.names)
-            elif isinstance(child, (ast.Name,)) and isinstance(
-                child.ctx, (ast.Store, ast.Del)
-            ):
-                bound.add(child.id)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if child is not self.node:
-                    bound.add(child.name)
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                for alias in child.names:
-                    if alias.name != "*":
-                        bound.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(child, ast.ExceptHandler) and child.name:
-                bound.add(child.name)
-        self._locals = (bound - global_names) | set(self.params())
-        return self._locals
-
-    def global_declared(self) -> Set[str]:
-        names: Set[str] = set()
-        for child in ast.walk(self.node):
-            if isinstance(child, ast.Global):
-                names.update(child.names)
-        return names
-
 
 class ModuleModel:
-    """One parsed file: its functions, imports, and module-level names."""
+    """One parsed file: its functions and imports."""
 
     def __init__(
         self,
@@ -114,8 +76,6 @@ class ModuleModel:
         self.module = module_name_for(rel_path, source_roots)
         self.parse_error = False
         self.functions: Dict[str, FunctionModel] = {}
-        #: names assigned at module scope (shared state candidates)
-        self.module_assigns: Dict[str, int] = {}
         try:
             self.tree: Optional[ast.Module] = ast.parse(source, filename=rel_path)
         except SyntaxError:
@@ -135,15 +95,6 @@ class ModuleModel:
                 for member in stmt.body:
                     if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         self._add_function(member, class_name=stmt.name)
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    stmt.targets
-                    if isinstance(stmt, ast.Assign)
-                    else [stmt.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        self.module_assigns.setdefault(target.id, stmt.lineno)
 
     def _add_function(self, node, class_name: Optional[str]) -> None:
         qualname = f"{class_name}.{node.name}" if class_name else node.name

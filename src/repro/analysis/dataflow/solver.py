@@ -8,9 +8,8 @@ Facts must be hashable values forming a finite join semilattice under
 functions but does not check it (a non-monotone transfer simply may not
 terminate, which is why the solver also carries an iteration guard).
 
-The dataflow rule pack instantiates it twice: taint propagation
-(:mod:`repro.analysis.dataflow.taint`) and the open-resource analysis
-behind ``resource-leak`` (:mod:`repro.analysis.dataflow.rules`).
+Taint propagation (:mod:`repro.analysis.dataflow.taint`) instantiates
+it for ``impure-digest-flow``.
 """
 
 from __future__ import annotations

@@ -8,9 +8,7 @@ per call-graph node, the few facts callers need:
   through to its return, or feed a parameter into a digest sink;
 * **blocking** — which direct blocking calls (file/socket/sleep/
   subprocess) the callee makes, and whether any blocking call is
-  transitively reachable from it;
-* **shared-state effects** — which module-level names the callee reads,
-  writes, and read-modify-writes.
+  transitively reachable from it.
 
 Summaries key through the existing conservative
 :class:`~repro.analysis.graph.callgraph.CallGraph`: call resolution never
@@ -23,7 +21,7 @@ the empty summary, the safe (under-approximating) fixpoint seed.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow.model import FunctionModel, ModelIndex
 from repro.analysis.dataflow.taint import (
@@ -33,7 +31,7 @@ from repro.analysis.dataflow.taint import (
     run_taint,
 )
 
-__all__ = ["SummaryIndex", "GlobalEffects", "BLOCKING_CALLS", "BLOCKING_ATTRS"]
+__all__ = ["SummaryIndex", "BLOCKING_CALLS", "BLOCKING_ATTRS"]
 
 #: Canonical dotted names that block the event loop when awaited around.
 BLOCKING_CALLS = {
@@ -65,43 +63,6 @@ BLOCKING_ATTRS = {
     "write_bytes",
 }
 
-#: Method calls that mutate their receiver in place.
-MUTATING_METHODS = {
-    "append",
-    "extend",
-    "insert",
-    "add",
-    "discard",
-    "update",
-    "setdefault",
-    "pop",
-    "popitem",
-    "remove",
-    "clear",
-}
-
-
-class GlobalEffects:
-    """Module-level names one function touches, split by access kind."""
-
-    __slots__ = ("reads", "writes", "rmw")
-
-    def __init__(
-        self,
-        reads: FrozenSet[str],
-        writes: FrozenSet[str],
-        rmw: FrozenSet[str],
-    ):
-        self.reads = reads
-        self.writes = writes
-        #: read-modify-writes: AugAssign, in-place mutation, subscript or
-        #: attribute stores — each one races even on its own.
-        self.rmw = rmw
-
-
-EMPTY_EFFECTS = GlobalEffects(frozenset(), frozenset(), frozenset())
-
-
 class SummaryIndex:
     """Memoized per-function summaries over one lint sweep.
 
@@ -116,7 +77,6 @@ class SummaryIndex:
         self._taint: Dict[str, TaintSummary] = {}
         self._taint_in_progress: Set[str] = set()
         self._blocking: Dict[str, Tuple[Tuple[str, int], ...]] = {}
-        self._effects: Dict[str, GlobalEffects] = {}
 
     # -- resolver protocol (consumed by taint) -------------------------
     def resolve_call(
@@ -234,25 +194,6 @@ class SummaryIndex:
             frontier = next_frontier
         return None
 
-    # -- shared module state --------------------------------------------
-    def global_effects(self, fq: str) -> GlobalEffects:
-        """Module-level names ``fq`` reads / writes / read-modify-writes."""
-        cached = self._effects.get(fq)
-        if cached is not None:
-            return cached
-        model = self.models.function(fq)
-        if model is None:
-            self._effects[fq] = EMPTY_EFFECTS
-            return EMPTY_EFFECTS
-        module_model = self.models.model_for_module(model.module)
-        candidates = (
-            set(module_model.module_assigns) if module_model is not None else set()
-        )
-        effects = _function_effects(model, candidates)
-        self._effects[fq] = effects
-        return effects
-
-
 def _summary_from_run(run: TaintRun) -> TaintSummary:
     sink_params: Set[str] = set()
     for hit in run.sink_hits:
@@ -284,51 +225,3 @@ def _walk_own_body(fn_node: ast.AST):
         yield node
         pending.extend(ast.iter_child_nodes(node))
 
-
-def _function_effects(
-    model: FunctionModel, candidates: Set[str]
-) -> GlobalEffects:
-    """Classify accesses to module-level names within one function.
-
-    A name counts only when it is assigned at module scope in the
-    function's own module and is not shadowed by a local binding
-    (``global``-declared names are never locals).
-    """
-    local = model.local_names()
-    shared = {name for name in candidates if name not in local}
-    shared |= model.global_declared() & candidates
-    if not shared:
-        return EMPTY_EFFECTS
-    reads: Set[str] = set()
-    writes: Set[str] = set()
-    rmw: Set[str] = set()
-    for node in ast.walk(model.node):
-        if isinstance(node, ast.Name) and node.id in shared:
-            if isinstance(node.ctx, ast.Load):
-                reads.add(node.id)
-            else:
-                writes.add(node.id)
-        elif isinstance(node, ast.AugAssign) and isinstance(
-            node.target, ast.Name
-        ):
-            if node.target.id in shared:
-                writes.add(node.target.id)
-                rmw.add(node.target.id)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in MUTATING_METHODS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in shared
-            ):
-                writes.add(func.value.id)
-                rmw.add(func.value.id)
-        elif isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            base = node.value
-            if isinstance(base, ast.Name) and base.id in shared:
-                writes.add(base.id)
-                rmw.add(base.id)
-    return GlobalEffects(frozenset(reads), frozenset(writes), frozenset(rmw))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow.cfg import (
     CFG,
@@ -493,7 +493,3 @@ def _is_update_on(call: ast.Call, handles: Set[str]) -> bool:
         and isinstance(func.value, ast.Name)
         and func.value.id in handles
     )
-
-
-#: The callable type the engine passes in (documented, not enforced).
-ResolverLike = Callable

@@ -7,12 +7,6 @@ and decorating it — the registry, CLI, cache fingerprint, pragmas, and
 baseline all pick it up automatically.
 """
 
-from repro.analysis.rules import (
-    determinism,
-    hygiene,
-    obs,
-    poolsafety,
-    reliability,
-)
+from repro.analysis.rules import determinism, poolsafety, reliability
 
-__all__ = ["determinism", "hygiene", "obs", "poolsafety", "reliability"]
+__all__ = ["determinism", "poolsafety", "reliability"]

@@ -56,20 +56,6 @@ def _function_scopes(tree: ast.Module) -> Iterator[ast.AST]:
             yield node
 
 
-def _module_level_statements(tree: ast.Module) -> Iterator[ast.stmt]:
-    """Statements executed at import time (module body + class bodies)."""
-    pending: List[ast.stmt] = list(tree.body)
-    while pending:
-        stmt = pending.pop()
-        yield stmt
-        if isinstance(stmt, ast.ClassDef):
-            pending.extend(stmt.body)
-        elif isinstance(stmt, (ast.If, ast.For, ast.While, ast.With, ast.Try)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.stmt):
-                    pending.append(child)
-
-
 @register
 class UnseededRandom(Rule):
     """Import-time randomness makes two processes disagree by construction."""

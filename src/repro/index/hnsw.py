@@ -334,22 +334,6 @@ class HNSWIndex:
         obs_metrics.inc(HNSW_DISTANCE_COMPS, self._distance_count - before)
         return [(self._ids[node], 1.0 - dist) for dist, node in top]
 
-    def query_batch(
-        self, vectors: np.ndarray, k: int = 10, ef: Optional[int] = None
-    ) -> List[List[Tuple[str, float]]]:
-        """Top-k for every row of ``vectors``, one graph walk per row.
-
-        HNSW beam searches don't vectorize across queries (each walk
-        takes its own path through the graph), so this is a sequential
-        sweep — it exists so callers that batch over heterogeneous index
-        backends can use one entry point, and each row returns exactly
-        what :meth:`query` would.
-        """
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim == 1:
-            vectors = vectors[None, :]
-        return [self.query(row, k=k, ef=ef) for row in vectors]
-
     def build(self, ids: Sequence[str], vectors: np.ndarray) -> None:
         for item_id, vector in zip(ids, np.asarray(vectors, dtype=np.float64)):
             self.add(item_id, vector)

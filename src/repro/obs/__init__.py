@@ -8,11 +8,12 @@ each:
 
 **Spans** (:mod:`repro.obs.tracing`) answer "what happened, in what
 order, for how long".  ``with trace("search.query", k=5):`` opens a
-span; spans opened inside it (same thread) become children via
-``parent_id``, forming a tree per request.  Durations come from the
-monotonic clock.  Tracing is off — and near-free — until an exporter is
-attached: an in-memory ring buffer for tests, or a JSONL file (the
-CLI's global ``--trace FILE`` flag) for durable operation records.
+span; spans opened inside it (same :mod:`contextvars` context, so the
+same thread or asyncio task) become children via ``parent_id``, forming
+a tree per request.  Durations come from the monotonic clock.
+Tracing is off — and near-free — until an exporter is attached: an
+in-memory ring buffer for tests, or a JSONL file (the CLI's global
+``--trace FILE`` flag) for durable operation records.
 
 **Metrics** (:mod:`repro.obs.metrics`) answer "how much, how often, how
 slow" in aggregate.  A process-global :class:`~repro.obs.metrics.MetricsRegistry`

@@ -1,6 +1,6 @@
 """Cross-process trace propagation for pool workers.
 
-In-process tracing links spans through a thread-local stack, which a
+In-process tracing links spans through a context-local stack, which a
 :class:`~concurrent.futures.ProcessPoolExecutor` worker cannot see: a
 traced ``repro generate --workers N`` run would record the parent's
 wave span and silently drop every per-model train span executed in a

@@ -1,10 +1,15 @@
-"""Hierarchical spans over a thread-local stack, with pluggable exporters.
+"""Hierarchical spans over a context-local stack, with pluggable exporters.
 
 A span measures one operation on a monotonic clock
 (:func:`time.perf_counter`).  Spans opened while another span is active
-on the same thread become its children (``parent_id`` links), so a
-search request traced end-to-end yields a tree: the CLI root span, the
-engine query under it, the hybrid fusion under that.
+in the same :mod:`contextvars` context become its children
+(``parent_id`` links), so a search request traced end-to-end yields a
+tree: the CLI root span, the engine query under it, the hybrid fusion
+under that.  The stack lives in a :class:`~contextvars.ContextVar`, so
+each asyncio task nests its spans on its own even across ``await``,
+and work handed to another thread joins the tree by running in a copy
+of the caller's context (:func:`contextvars.copy_context`).  A thread
+started without one begins with an empty stack.
 
 Tracing is **off by default** and costs almost nothing while off: the
 fast path of :class:`trace` is a single module-global flag check, so
@@ -41,8 +46,9 @@ import threading
 import time
 import tracemalloc
 from collections import deque
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import logging as _obs_logging
 
@@ -73,7 +79,16 @@ OBS_EXPORT_ERRORS = "obs.export_errors"
 _log = _obs_logging.get_logger("obs.tracing")
 
 _span_ids = itertools.count(1)
-_local = threading.local()
+#: Open spans, innermost last.  Tuples, not lists: a copied context
+#: shares the object its variables hold, so a mutable stack would leak
+#: pushes from one context into every copy of it.
+_span_stack: ContextVar[Tuple["Span", ...]] = ContextVar(
+    "repro_span_stack", default=()
+)
+#: One ``[entry watermark, absolute peak]`` cell per open profiled span.
+_prof_stack: ContextVar[Tuple[List[int], ...]] = ContextVar(
+    "repro_prof_stack", default=()
+)
 _exporter_lock = threading.Lock()
 _exporters: List["SpanExporter"] = []
 _force_enabled = False
@@ -88,13 +103,6 @@ _started_tracemalloc = False
 def _recompute_enabled() -> None:
     global _enabled
     _enabled = _force_enabled or bool(_exporters)
-
-
-def _stack() -> List["Span"]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    return stack
 
 
 @dataclass
@@ -270,13 +278,6 @@ def next_span_id() -> int:
     return next(_span_ids)
 
 
-def _prof_stack() -> List[List[int]]:
-    stack = getattr(_local, "prof_stack", None)
-    if stack is None:
-        stack = _local.prof_stack = []
-    return stack
-
-
 def export_span(span: Span) -> None:
     """Deliver a finished span to every attached exporter.
 
@@ -306,9 +307,18 @@ def export_span(span: Span) -> None:
 
 
 def current_span() -> Optional[Span]:
-    """The innermost open span on this thread, if any."""
-    stack = getattr(_local, "stack", None)
+    """The innermost open span in the current context, if any."""
+    stack = _span_stack.get()
     return stack[-1] if stack else None
+
+
+def _pop(var: ContextVar, item: Any) -> None:
+    """Drop ``item`` from the stack in ``var``.
+
+    Filtering rather than resetting to the value before the push keeps
+    an out-of-order exit from restoring spans that already closed.
+    """
+    var.set(tuple(entry for entry in var.get() if entry is not item))
 
 
 class _NullTrace:
@@ -349,7 +359,7 @@ class trace:
     def __enter__(self) -> Optional[Span]:
         if not _enabled:
             return None
-        stack = _stack()
+        stack = _span_stack.get()
         parent = stack[-1] if stack else None
         span_id = next(_span_ids)
         span = Span(
@@ -361,15 +371,16 @@ class trace:
             start_unix=time.time(),
             attributes=dict(self._attrs),
         )
-        stack.append(span)
+        _span_stack.set(stack + (span,))
         self._span = span
         if _profiling and tracemalloc.is_tracing():
             current, _ = tracemalloc.get_traced_memory()
             # [entry watermark, absolute peak seen so far] — children
             # raise the second cell so parents inherit their peaks.
-            _prof_stack().append([current, current])
+            cell = [current, current]
+            _prof_stack.set(_prof_stack.get() + (cell,))
             tracemalloc.reset_peak()
-            self._prof = time.process_time()
+            self._prof = (time.process_time(), cell)
         return span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -377,28 +388,24 @@ class trace:
         if span is None:
             return False
         span.end = time.perf_counter()
-        if self._prof is not None and tracemalloc.is_tracing():
-            span.cpu_time = time.process_time() - self._prof
-            current, seg_peak = tracemalloc.get_traced_memory()
-            prof_stack = _prof_stack()
-            if prof_stack:
-                entry = prof_stack.pop()
-                peak_abs = max(entry[1], seg_peak)
-                span.alloc_peak = max(0, peak_abs - entry[0])
-                span.alloc_net = current - entry[0]
-                if prof_stack:
-                    parent_entry = prof_stack[-1]
-                    parent_entry[1] = max(parent_entry[1], peak_abs)
+        if self._prof is not None:
+            cpu_start, cell = self._prof
+            _pop(_prof_stack, cell)
+            if tracemalloc.is_tracing():
+                span.cpu_time = time.process_time() - cpu_start
+                current, seg_peak = tracemalloc.get_traced_memory()
+                peak_abs = max(cell[1], seg_peak)
+                span.alloc_peak = max(0, peak_abs - cell[0])
+                span.alloc_net = current - cell[0]
+                parents = _prof_stack.get()
+                if parents:
+                    parents[-1][1] = max(parents[-1][1], peak_abs)
                 # Start a fresh segment for whatever the parent (or the
                 # next sibling span) allocates after this span closes.
                 tracemalloc.reset_peak()
         if exc_type is not None:
             span.status = f"error:{exc_type.__name__}"
-        stack = _stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:  # pragma: no cover - unbalanced exit guard
-            stack.remove(span)
+        _pop(_span_stack, span)
         export_span(span)
         self._span = None
         return False

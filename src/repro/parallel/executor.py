@@ -162,7 +162,7 @@ class WaveExecutor:
             # before any of these tasks completed.
             return list(indices), None
         if self._pool is None:
-            # Inline mode: spans flow through the thread-local stack
+            # Inline mode: spans flow through the caller's span stack
             # directly — no capture, no adoption, identical trace shape.
             for index in indices:
                 results[index] = fn(tasks[index])

@@ -19,18 +19,21 @@ flight run to completion, the batcher drains its tail, and only then
 does the snapshot release its memmap handles.  New requests racing the
 drain get ``503`` with ``Retry-After``, never a connection reset.
 
-Tracing: each request records a manually-constructed span parented to
-the CLI root (the thread-local ``with trace()`` stack cannot span an
-``await`` — interleaved tasks would mis-nest).  Engine work records its
-own spans on the executor thread; :meth:`LakeServer._run_batch`, which
-scores each batch the micro-batcher dispatches, re-parents that subtree
-into the same trace, so ``repro trace report`` shows one tree.
+Tracing: the span stack is context-local, so each request's
+``serve.request.<endpoint>`` span nests under the CLI root in its own
+handler task, across every ``await``.  Executor threads start with an
+empty context, so :meth:`LakeServer._run_batch` opens each
+``serve.batch`` span in a copy of the context :meth:`LakeServer.start`
+ran in: batches hang under the CLI root too (a batch serves several
+requests, so no single request is its parent), the engine's spans hang
+under the batch, and ``repro trace report`` shows one tree.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,14 +55,7 @@ from repro.obs.instrument import (
     SERVE_STATS_LATENCY,
 )
 from repro.obs.logging import get_logger
-from repro.obs.propagate import TraceContext, capture_context
-from repro.obs.tracing import (
-    Span,
-    export_span,
-    next_span_id,
-    trace,
-    tracing_enabled,
-)
+from repro.obs.tracing import trace
 from repro.serve.batching import MicroBatcher
 from repro.serve.snapshot import LakeSnapshot
 
@@ -237,7 +233,7 @@ class LakeServer:
             max_batch=config.max_batch,
         )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._context: Optional[TraceContext] = None
+        self._start_context = contextvars.Context()
         self._draining = False
         self._in_flight = 0
         self._idle = asyncio.Event()
@@ -248,8 +244,9 @@ class LakeServer:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        # Captured on the loop thread, where the CLI root span lives.
-        self._context = capture_context()
+        # Batches run on executor threads in copies of this context,
+        # which holds the CLI root span.
+        self._start_context = contextvars.copy_context()
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port
         )
@@ -290,40 +287,13 @@ class LakeServer:
 
     # -- engine bridge (runs on executor threads) ----------------------
     def _run_batch(self, triples: List[Tuple[str, int, str]]) -> List[Any]:
-        with trace("serve.batch", size=len(triples)) as span:
-            if span is not None and self._context is not None:
-                # Fresh executor thread => trace() opened a root span.
-                # Re-parent it (before any child opens) so the engine's
-                # span subtree lands under the server's CLI root.
-                span.parent_id = self._context.parent_span_id
-                span.trace_id = self._context.trace_id
+        # A fresh copy per batch: one Context cannot be entered by two
+        # executor threads at once.
+        return self._start_context.copy().run(self._score_batch, triples)
+
+    def _score_batch(self, triples: List[Tuple[str, int, str]]) -> List[Any]:
+        with trace("serve.batch", size=len(triples)):
             return self.snapshot.engine.search_batch(triples)
-
-    # -- per-request span (manual: survives awaits) --------------------
-    def _begin_span(self, endpoint: str, target: str) -> Optional[Span]:
-        if not tracing_enabled():
-            return None
-        span_id = next_span_id()
-        context = self._context
-        return Span(
-            name=f"serve.request.{endpoint}",
-            span_id=span_id,
-            parent_id=context.parent_span_id if context else None,
-            trace_id=context.trace_id if context else span_id,
-            start=time.perf_counter(),
-            start_unix=time.time(),
-            attributes={"target": target},
-        )
-
-    @staticmethod
-    def _end_span(span: Optional[Span], status: int) -> None:
-        if span is None:
-            return
-        span.end = time.perf_counter()
-        span.attributes["status"] = status
-        if status >= 500:
-            span.status = f"error:{status}"
-        export_span(span)
 
     # -- HTTP front end ------------------------------------------------
     async def _handle_client(
@@ -404,33 +374,38 @@ class LakeServer:
         if self._draining and endpoint != "healthz":
             obs_metrics.inc(SERVE_REJECTED)
             return 503, {"error": "draining", "retry_after": 1}
-        span = self._begin_span(endpoint or "unknown", path)
-        self._in_flight += 1
-        self._idle.clear()
-        obs_metrics.set_gauge(SERVE_IN_FLIGHT, self._in_flight)
-        start = time.perf_counter()
-        try:
-            status, payload = await self._route(
-                http_method, path, split.query, body, endpoint
-            )
-        except (ConfigError, QueryError) as exc:
-            status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 - one bad request must
-            # not take down the serving loop; 5xx is the contract.
-            _log.warning("request.failed", path=path, error=str(exc))
-            status, payload = 500, {"error": f"internal error: {exc}"}
-        finally:
-            self._in_flight -= 1
+        with trace(
+            f"serve.request.{endpoint or 'unknown'}", target=path
+        ) as span:
+            self._in_flight += 1
+            self._idle.clear()
             obs_metrics.set_gauge(SERVE_IN_FLIGHT, self._in_flight)
-            if self._in_flight == 0:
-                self._idle.set()
-        if status >= 500:
-            obs_metrics.inc(SERVE_ERRORS)
-        if endpoint is not None:
-            obs_metrics.observe(
-                _LATENCY[endpoint], time.perf_counter() - start
-            )
-        self._end_span(span, status)
+            start = time.perf_counter()
+            try:
+                status, payload = await self._route(
+                    http_method, path, split.query, body, endpoint
+                )
+            except (ConfigError, QueryError) as exc:
+                status, payload = 400, {"error": str(exc)}
+            except Exception as exc:  # noqa: BLE001 - one bad request must
+                # not take down the serving loop; 5xx is the contract.
+                _log.warning("request.failed", path=path, error=str(exc))
+                status, payload = 500, {"error": f"internal error: {exc}"}
+            finally:
+                self._in_flight -= 1
+                obs_metrics.set_gauge(SERVE_IN_FLIGHT, self._in_flight)
+                if self._in_flight == 0:
+                    self._idle.set()
+            if status >= 500:
+                obs_metrics.inc(SERVE_ERRORS)
+            if endpoint is not None:
+                obs_metrics.observe(
+                    _LATENCY[endpoint], time.perf_counter() - start
+                )
+            if span is not None:
+                span.set_attribute("status", status)
+                if status >= 500:
+                    span.status = f"error:{status}"
         return status, payload
 
     @staticmethod

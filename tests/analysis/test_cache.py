@@ -9,7 +9,7 @@ from repro.analysis.cache import TABLES, content_digest
 from repro.analysis.dataflow import engine as engine_mod
 
 
-def make_finding(path="src/repro/x.py", rule="no-print"):
+def make_finding(path="src/repro/x.py", rule="unseeded-random"):
     return Finding(path=path, line=3, col=4, rule=rule, message="m")
 
 

@@ -6,6 +6,7 @@ import textwrap
 
 import pytest
 
+from repro.analysis import get_rule
 from repro.cli import main
 
 
@@ -22,7 +23,7 @@ def tree(tmp_path):
 
 
 CLEAN = "X = 1\n"
-PRINTING = "def report(x):\n    print(x)\n"
+DRAWING = "import random\nX = random.random()\n"
 
 
 def test_lint_clean_tree_exits_zero(tree, capsys):
@@ -33,21 +34,21 @@ def test_lint_clean_tree_exits_zero(tree, capsys):
 
 
 def test_lint_violation_exits_one(tree, capsys):
-    root = tree({"src/repro/lake/mod.py": PRINTING})
+    root = tree({"src/repro/lake/mod.py": DRAWING})
     code = main(["lint", "--root", str(root), "--no-cache", "src"])
     assert code == 1
     out = capsys.readouterr().out
-    assert "[no-print]" in out
+    assert "[unseeded-random]" in out
     assert "src/repro/lake/mod.py:2" in out
 
 
 def test_lint_json_output_parses(tree, capsys):
-    root = tree({"src/repro/lake/mod.py": PRINTING})
+    root = tree({"src/repro/lake/mod.py": DRAWING})
     code = main(["lint", "--root", str(root), "--no-cache", "--json", "src"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["errors"] == 1
-    assert payload["findings"][0]["rule"] == "no-print"
+    assert payload["findings"][0]["rule"] == "unseeded-random"
 
 
 def test_lint_missing_path_is_config_error(tree, capsys):
@@ -65,17 +66,9 @@ def test_lint_writes_and_reuses_cache(tree, capsys):
     assert "cache 1 hits / 0 misses" in capsys.readouterr().out
 
 
-def test_lint_strict_fails_on_warning(tree):
-    root = tree({
-        "src/repro/lake/mod.py": """
-        def load(store, key):
-            try:
-                return store[key]
-            except KeyError:
-                pass
-            return None
-        """,
-    })
+def test_lint_strict_fails_on_warning(tree, monkeypatch):
+    monkeypatch.setattr(get_rule("unseeded-random"), "severity", "warning")
+    root = tree({"src/repro/lake/mod.py": DRAWING})
     assert main(["lint", "--root", str(root), "--no-cache", "src"]) == 0
     assert main(
         ["lint", "--root", str(root), "--no-cache", "--strict", "src"]
@@ -96,11 +89,11 @@ def test_lint_on_this_repository_is_clean():
 
 
 def test_lint_explain_known_rule(capsys):
-    assert main(["lint", "--explain", "resource-leak"]) == 0
+    assert main(["lint", "--explain", "impure-digest-flow"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("resource-leak")
+    assert out.startswith("impure-digest-flow")
     assert "Flags:" in out and "Passes:" in out
-    assert "noqa[resource-leak]" in out
+    assert "noqa[impure-digest-flow]" in out
 
 
 def test_lint_explain_unknown_rule_lists_known_ones(capsys):
@@ -115,30 +108,19 @@ def test_lint_bare_explain_lists_every_pack(capsys):
     out = capsys.readouterr().out
     for pack in ("per-file (ast):", "graph:", "dataflow:"):
         assert pack in out
-    assert "swallowed-exception" in out
-    assert "resource-leak" in out
-
-
-#: One per-file warning: a swallowed exception.
-SWALLOWING = """
-def load(store, key):
-    try:
-        return store[key]
-    except KeyError:
-        pass
-    return None
-"""
+    assert "unseeded-random" in out
+    assert "impure-digest-flow" in out
 
 
 def test_unwritable_cache_path_degrades_to_no_cache(tree, tmp_path, capsys):
-    root = tree({"src/repro/lake/mod.py": PRINTING})
+    root = tree({"src/repro/lake/mod.py": DRAWING})
     args = ["lint", "--root", str(root), "--json", "--strict", "src"]
     code = main(args + ["--cache", str(tmp_path / "missing-dir" / "c.json")])
     cached = json.loads(capsys.readouterr().out)
     assert main(args + ["--no-cache"]) == code == 1
     uncached = json.loads(capsys.readouterr().out)
     assert cached["findings"] == uncached["findings"]
-    assert "no-print" in {f["rule"] for f in cached["findings"]}
+    assert "unseeded-random" in {f["rule"] for f in cached["findings"]}
 
 
 def test_strict_lint_writes_exactly_one_cache_file(tree):
@@ -159,14 +141,14 @@ class TestBaselineUpdate:
     def test_fresh_findings_become_todo_entries(self, tree, capsys):
         import json as json_mod
 
-        root = tree({"src/repro/lake/mod.py": SWALLOWING})
+        root = tree({"src/repro/lake/mod.py": DRAWING})
         assert main([
             "lint", "--root", str(root), "--no-cache",
             "--baseline-update", "src",
         ]) == 0
         ledger = json_mod.loads((root / ".repro-lint.json").read_text())
         entries = ledger["suppressions"]
-        assert [e["rule"] for e in entries] == ["swallowed-exception"]
+        assert [e["rule"] for e in entries] == ["unseeded-random"]
         assert entries[0]["path"] == "src/repro/lake/mod.py"
         assert entries[0]["reason"].startswith("TODO")
         # The rewritten ledger applies immediately: non-strict passes
@@ -189,7 +171,7 @@ class TestBaselineUpdate:
         (root / ".repro-lint.json").write_text(json_mod.dumps({
             "version": 1,
             "suppressions": [{
-                "rule": "no-print",
+                "rule": "unseeded-random",
                 "path": "src/repro/lake/gone.py",
                 "reason": "matched a file that no longer exists",
             }],
@@ -208,7 +190,7 @@ class TestBaselineUpdate:
         (root / ".repro-lint.json").write_text(json_mod.dumps({
             "version": 1,
             "suppressions": [{
-                "rule": "resource-leak",
+                "rule": "impure-digest-flow",
                 "path": "src/repro/lake/other.py",
                 "reason": "dataflow entry; this run never evaluates the rule",
             }],
@@ -221,5 +203,5 @@ class TestBaselineUpdate:
         ]) == 0
         ledger = json_mod.loads((root / ".repro-lint.json").read_text())
         assert [e["rule"] for e in ledger["suppressions"]] == [
-            "resource-leak"
+            "impure-digest-flow"
         ]

@@ -79,18 +79,13 @@ def test_engine_version_bump_invalidates_everything(tmp_path, monkeypatch):
 
 def test_cached_findings_replay_identically(tmp_path):
     files = dict(BASE)
-    files["src/pkg/leaky.py"] = (
-        "import json\n\n\n"
-        "def load(path, strict):\n"
-        "    handle = open(path)\n"
-        "    if strict:\n"
-        "        return json.load(handle)\n"
-        "    data = json.load(handle)\n"
-        "    handle.close()\n"
-        "    return data\n"
+    files["src/pkg/poller.py"] = (
+        "import time\n\n\n"
+        "async def poll():\n"
+        "    time.sleep(1)\n"
     )
     cold = sweep(tmp_path, files)
     warm = sweep(tmp_path, files)
     assert warm.files_reanalyzed == 0
     assert warm.findings == cold.findings
-    assert [f.rule for f in cold.findings] == ["resource-leak"]
+    assert [f.rule for f in cold.findings] == ["blocking-call-in-async"]

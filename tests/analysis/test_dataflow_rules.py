@@ -1,4 +1,4 @@
-"""The five dataflow rules: positive and negative fixtures per rule.
+"""The dataflow rules: positive and negative fixtures per rule.
 
 Each fixture is a tiny in-memory project run through the real engine
 (call graph + summaries + CFG solving), so what these tests pin is the
@@ -22,93 +22,6 @@ def run_dataflow(tmp_path, files):
 
 def by_rule(report, rule):
     return [f for f in report.findings if f.rule == rule]
-
-
-# -- shared-state-race -------------------------------------------------
-
-
-def test_pool_task_read_modify_write_on_module_state_races(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/tasks.py": (
-            "SEEN = {}\n\n\n"
-            "def work(item):\n"
-            "    SEEN[item.key] = item\n"
-            "    return item\n"
-        ),
-        "src/pkg/driver.py": (
-            "from pkg.tasks import work\n\n\n"
-            "def launch(executor, items):\n"
-            "    return executor.run_wave(work, items)\n"
-        ),
-    })
-    (finding,) = by_rule(report, "shared-state-race")
-    assert finding.path == "src/pkg/driver.py"
-    assert finding.line == 5  # the submission site
-    assert "SEEN" in finding.message
-
-
-def test_closure_thread_target_mutating_captured_state_races(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/driver.py": (
-            "import threading\n\n\n"
-            "def launch(items):\n"
-            "    counts = {}\n\n"
-            "    def worker(item):\n"
-            "        counts[item] = counts.get(item, 0) + 1\n\n"
-            "    threads = [\n"
-            "        threading.Thread(target=worker, args=(i,))\n"
-            "        for i in items\n"
-            "    ]\n"
-            "    return threads, counts\n"
-        ),
-    })
-    (finding,) = by_rule(report, "shared-state-race")
-    assert "counts" in finding.message
-
-
-def test_injected_race_reproduces_the_real_executor_shape(tmp_path):
-    # The exact shape that bit the wave executor: a worker that does a
-    # read-modify-write on a module-level cache keyed by digest.
-    report = run_dataflow(tmp_path, {
-        "src/pkg/cachemod.py": (
-            "_CACHE = {}\n\n\n"
-            "def remember(digest, record):\n"
-            "    if digest not in _CACHE:\n"
-            "        _CACHE[digest] = []\n"
-            "    _CACHE[digest].append(record)\n"
-        ),
-        "src/pkg/wave.py": (
-            "from pkg.cachemod import remember\n\n\n"
-            "def train(spec):\n"
-            "    remember(spec.digest, spec)\n"
-            "    return spec\n"
-        ),
-        "src/pkg/run.py": (
-            "from pkg.wave import train\n\n\n"
-            "def go(pool, specs):\n"
-            "    return pool.run_wave(train, specs)\n"
-        ),
-    })
-    (finding,) = by_rule(report, "shared-state-race")
-    assert finding.path == "src/pkg/run.py"
-    assert "_CACHE" in finding.message
-    assert "pkg.cachemod.remember" in finding.message
-
-
-def test_pure_task_and_read_only_globals_do_not_race(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/tasks.py": (
-            "SCALE = 2\n\n\n"
-            "def work(item):\n"
-            "    return item * SCALE\n"
-        ),
-        "src/pkg/driver.py": (
-            "from pkg.tasks import work\n\n\n"
-            "def launch(executor, items):\n"
-            "    return executor.run_wave(work, items)\n"
-        ),
-    })
-    assert by_rule(report, "shared-state-race") == []
 
 
 # -- blocking-call-in-async --------------------------------------------
@@ -172,84 +85,6 @@ def test_await_on_async_callee_is_not_blocking(tmp_path):
         ),
     })
     assert by_rule(report, "blocking-call-in-async") == []
-
-
-# -- memmap-escape -----------------------------------------------------
-
-
-def test_memmap_view_returned_past_with_close_is_flagged(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/store.py": (
-            "from repro.utils.serialization import open_arrays_memmap\n\n\n"
-            "def peek(path, name):\n"
-            "    views = open_arrays_memmap(path)\n"
-            "    with open(path + '.lock') as lock:\n"
-            "        pass\n"
-            "    return views[name]\n"
-        ),
-    })
-    # A plain (unscoped) view returned is the caller's business; the
-    # *scoped* repro is below.  This shape must stay silent.
-    assert by_rule(report, "memmap-escape") == []
-
-
-def test_scoped_memmap_view_escaping_its_with_block_is_flagged(tmp_path):
-    # The real bug shape: load_lake(materialize=False) views handed out
-    # of the with-block that owns the backing file.
-    report = run_dataflow(tmp_path, {
-        "src/pkg/store.py": (
-            "from repro.lake.persist import load_lake\n\n\n"
-            "def grab(path, name):\n"
-            "    with load_lake(path, materialize=False) as lake:\n"
-            "        view = lake.weights[name]\n"
-            "    return view\n"
-        ),
-    })
-    (finding,) = by_rule(report, "memmap-escape")
-    assert finding.path == "src/pkg/store.py"
-    assert "view" in finding.message
-
-
-def test_scoped_view_stored_on_self_is_flagged(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/store.py": (
-            "from repro.utils.serialization import open_arrays_memmap\n\n\n"
-            "class Holder:\n"
-            "    def load(self, path):\n"
-            "        with open_arrays_memmap(path) as views:\n"
-            "            self.views = views\n"
-        ),
-    })
-    (finding,) = by_rule(report, "memmap-escape")
-    assert "self" in finding.message or "attribute" in finding.message
-
-
-def test_memmap_view_captured_by_pool_task_is_flagged(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/store.py": (
-            "from repro.utils.serialization import open_arrays_memmap\n\n\n"
-            "def fan_out(pool, path, names):\n"
-            "    views = open_arrays_memmap(path)\n\n"
-            "    def task(name):\n"
-            "        return views[name].sum()\n\n"
-            "    return pool.run_wave(task, names)\n"
-        ),
-    })
-    (finding,) = by_rule(report, "memmap-escape")
-    assert "views" in finding.message
-
-
-def test_materialized_copy_may_leave_the_scope(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/store.py": (
-            "from repro.lake.persist import load_lake\n\n\n"
-            "def grab(path, name):\n"
-            "    with load_lake(path, materialize=False) as lake:\n"
-            "        data = lake.weights[name].copy()\n"
-            "    return data\n"
-        ),
-    })
-    assert by_rule(report, "memmap-escape") == []
 
 
 # -- impure-digest-flow ------------------------------------------------
@@ -338,77 +173,6 @@ def test_timing_that_never_reaches_a_digest_is_clean(tmp_path):
         ),
     })
     assert by_rule(report, "impure-digest-flow") == []
-
-
-# -- resource-leak -----------------------------------------------------
-
-
-def test_handle_not_closed_on_early_return_path_is_flagged(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/reader.py": (
-            "import json\n\n\n"
-            "def load(path, strict):\n"
-            "    handle = open(path)\n"
-            "    if strict:\n"
-            "        return json.load(handle)\n"
-            "    data = json.load(handle)\n"
-            "    handle.close()\n"
-            "    return data\n"
-        ),
-    })
-    (finding,) = by_rule(report, "resource-leak")
-    assert finding.line == 5  # anchored at the acquisition
-    assert "'handle'" in finding.message
-
-
-def test_with_statement_closes_on_every_path(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/reader.py": (
-            "import json\n\n\n"
-            "def load(path, strict):\n"
-            "    with open(path) as handle:\n"
-            "        if strict:\n"
-            "            return json.load(handle)\n"
-            "        return json.load(handle)\n"
-        ),
-    })
-    assert by_rule(report, "resource-leak") == []
-
-
-def test_close_on_all_paths_is_clean(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/reader.py": (
-            "def head(path, n):\n"
-            "    handle = open(path)\n"
-            "    data = handle.read(n)\n"
-            "    handle.close()\n"
-            "    return data\n"
-        ),
-    })
-    assert by_rule(report, "resource-leak") == []
-
-
-def test_returned_handle_transfers_ownership(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/reader.py": (
-            "def acquire(path):\n"
-            "    handle = open(path)\n"
-            "    return handle\n"
-        ),
-    })
-    assert by_rule(report, "resource-leak") == []
-
-
-def test_exit_stack_registration_counts_as_release(tmp_path):
-    report = run_dataflow(tmp_path, {
-        "src/pkg/reader.py": (
-            "def attach(stack, path):\n"
-            "    handle = open(path)\n"
-            "    stack.enter_context(handle)\n"
-            "    return handle.name\n"
-        ),
-    })
-    assert by_rule(report, "resource-leak") == []
 
 
 # -- pragmas anchored at the sink --------------------------------------

@@ -22,14 +22,9 @@ from repro.analysis.graph.rules import all_graph_rules
 from repro.analysis.runner import lint_source
 from repro.utils.hashing import stable_hash
 
-#: A rel_path each per-file rule's ``applies_to`` accepts.  Library
-#: rules run under src/repro/lake, benchmark rules under benchmarks/.
-_EXAMPLE_PATHS = {
-    "bench-result-schema": "benchmarks/bench_example.py",
-    "raw-artifact-write": "src/repro/lake/example.py",
-    "whole-file-read": "src/repro/lake/example.py",
-}
-_DEFAULT_PATH = "src/repro/lake/example.py"
+#: A rel_path every per-file rule's ``applies_to`` accepts: the
+#: reliability rules scope themselves to the artifact layers.
+_EXAMPLE_PATH = "src/repro/lake/example.py"
 
 
 def test_every_rule_is_explainable():
@@ -41,7 +36,8 @@ def test_every_rule_is_explainable():
         assert rule.name in names
     for rule in all_dataflow_rules():
         assert rule.name in names
-    assert len(names) >= 15
+    packs = all_rules() + all_graph_rules() + all_dataflow_rules()
+    assert len(names) == len(packs) + 1  # + syntax-error
 
 
 def test_unknown_rule_returns_none():
@@ -68,12 +64,11 @@ def test_rendered_explanation_has_description_and_examples():
 def test_per_file_rule_examples_are_live(rule):
     assert rule.example_positive, f"{rule.name} has no positive example"
     assert rule.example_negative, f"{rule.name} has no negative example"
-    rel_path = _EXAMPLE_PATHS.get(rule.name, _DEFAULT_PATH)
-    fired = {f.rule for f in lint_source(rule.example_positive, rel_path)}
+    fired = {f.rule for f in lint_source(rule.example_positive, _EXAMPLE_PATH)}
     assert rule.name in fired, (
         f"positive example of {rule.name} does not fire it (got {fired})"
     )
-    silent = {f.rule for f in lint_source(rule.example_negative, rel_path)}
+    silent = {f.rule for f in lint_source(rule.example_negative, _EXAMPLE_PATH)}
     assert rule.name not in silent, (
         f"negative example of {rule.name} still fires it"
     )

@@ -24,8 +24,8 @@ name = "high"
 modules = ["repro.high"]
 """
 
-#: One no-print error (line 2) + one mutable-default error (line 1).
-MIXED = "def g(x, acc=[]):\n    print(x)\n    return acc\n"
+#: One unseeded-random error (line 2) + one whole-file-read error (line 3).
+MIXED = "import numpy, random\nX = random.random()\nW = numpy.load('w.npy')\n"
 
 
 @pytest.fixture()
@@ -46,24 +46,26 @@ def tree(tmp_path):
 def test_select_keeps_only_named_rules(tree):
     root = tree({"src/repro/lake/mod.py": MIXED})
     result = run_lint(LintConfig(
-        paths=["src"], root=str(root), use_cache=False, select=["no-print"],
+        paths=["src"], root=str(root), use_cache=False,
+        select=["unseeded-random"],
     ))
-    assert [f.rule for f in result.findings] == ["no-print"]
+    assert [f.rule for f in result.findings] == ["unseeded-random"]
 
 
 def test_ignore_drops_named_rules(tree):
     root = tree({"src/repro/lake/mod.py": MIXED})
     result = run_lint(LintConfig(
-        paths=["src"], root=str(root), use_cache=False, ignore=["no-print"],
+        paths=["src"], root=str(root), use_cache=False,
+        ignore=["unseeded-random"],
     ))
-    assert [f.rule for f in result.findings] == ["mutable-default"]
+    assert [f.rule for f in result.findings] == ["whole-file-read"]
 
 
 def test_ignore_beats_select(tree):
     root = tree({"src/repro/lake/mod.py": MIXED})
     result = run_lint(LintConfig(
         paths=["src"], root=str(root), use_cache=False,
-        select=["no-print"], ignore=["no-print"],
+        select=["unseeded-random"], ignore=["unseeded-random"],
     ))
     assert result.findings == []
 
@@ -95,13 +97,14 @@ def test_stale_baseline_outside_filter_is_not_reported(tree):
     (root / ".repro-lint.json").write_text(json.dumps({
         "version": 1,
         "suppressions": [{
-            "rule": "bare-except",
+            "rule": "time-in-digest",
             "path": "src/repro/lake/mod.py",
             "reason": "long gone",
         }],
     }))
     narrowed = run_lint(LintConfig(
-        paths=["src"], root=str(root), use_cache=False, select=["no-print"],
+        paths=["src"], root=str(root), use_cache=False,
+        select=["unseeded-random"],
     ))
     assert narrowed.unused_baseline == []
     full = run_lint(LintConfig(paths=["src"], root=str(root), use_cache=False))
@@ -156,12 +159,12 @@ def test_lint_select_flag_round_trips(tree, capsys):
     root = tree({"src/repro/lake/mod.py": MIXED})
     code = main([
         "lint", "--root", str(root), "--no-cache",
-        "--select", "mutable-default", "src",
+        "--select", "whole-file-read", "src",
     ])
     assert code == 1
     out = capsys.readouterr().out
-    assert "[mutable-default]" in out
-    assert "[no-print]" not in out
+    assert "[whole-file-read]" in out
+    assert "[unseeded-random]" not in out
 
 
 def test_lint_unknown_select_exits_config_error(tree, capsys):
@@ -227,35 +230,31 @@ def test_graph_out_writes_file(tree, tmp_path, capsys):
 # -- lint --dataflow end to end ----------------------------------------
 
 
-LEAKY = (
-    "import json\n\n\n"
-    "def load(path, strict):\n"
-    "    handle = open(path)\n"
-    "    if strict:\n"
-    "        return json.load(handle)\n"
-    "    data = json.load(handle)\n"
-    "    handle.close()\n"
-    "    return data\n"
+#: Clean per-file; only the dataflow pack sees the blocking call.
+BLOCKING = (
+    "import time\n\n\n"
+    "async def _poll():\n"
+    "    time.sleep(1)\n"
 )
 
 
-def test_lint_dataflow_reports_resource_leak(tree, capsys):
-    root = tree({"src/repro/reader.py": LEAKY})
+def test_lint_dataflow_reports_blocking_call_in_async(tree, capsys):
+    root = tree({"src/repro/poller.py": BLOCKING})
     code = main([
         "lint", "--root", str(root), "--no-cache", "--dataflow", "src",
     ])
     assert code == 1
     out = capsys.readouterr().out
-    assert "[resource-leak]" in out
+    assert "[blocking-call-in-async]" in out
     assert "dataflow: 1 modules" in out
 
 
 def test_strict_implies_dataflow_and_no_dataflow_disables_it(tree, capsys):
-    root = tree({"src/repro/reader.py": LEAKY})
+    root = tree({"src/repro/poller.py": BLOCKING})
     assert main(
         ["lint", "--root", str(root), "--no-cache", "--strict", "src"]
     ) == 1
-    assert "[resource-leak]" in capsys.readouterr().out
+    assert "[blocking-call-in-async]" in capsys.readouterr().out
     assert main([
         "lint", "--root", str(root), "--no-cache", "--strict",
         "--no-dataflow", "src",
@@ -276,10 +275,10 @@ def test_lint_dataflow_json_carries_dataflow_summary(tree, capsys):
 
 
 def test_lint_dataflow_select_filter_applies(tree, capsys):
-    root = tree({"src/repro/reader.py": LEAKY})
+    root = tree({"src/repro/poller.py": BLOCKING})
     code = main([
         "lint", "--root", str(root), "--no-cache", "--dataflow",
-        "--ignore", "resource-leak", "src",
+        "--ignore", "blocking-call-in-async", "src",
     ])
     assert code == 0
 

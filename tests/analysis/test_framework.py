@@ -8,7 +8,9 @@ import pytest
 from repro.analysis import (
     Baseline,
     BaselineEntry,
+    Finding,
     LintConfig,
+    LintResult,
     lint_source,
     load_baseline,
     render_json,
@@ -18,62 +20,71 @@ from repro.errors import ConfigError
 
 LIB = "src/repro/lake/example.py"
 
-_PRINTING = 'def report(x):\n    print(x)\n'
+_DRAWING = 'import random\nX = random.random()\n'
 
 
 # -- pragma suppression ------------------------------------------------
 
 
 def test_named_pragma_suppresses_only_that_rule():
-    source = 'def report(x):\n    print(x)  # repro: noqa[no-print]\n'
+    source = 'import random\nX = random.random()  # repro: noqa[unseeded-random]\n'
     assert lint_source(source, LIB) == []
 
 
 def test_bare_pragma_suppresses_everything_on_the_line():
-    source = 'def report(x):\n    print(x)  # repro: noqa\n'
+    source = 'import random\nX = random.random()  # repro: noqa\n'
     assert lint_source(source, LIB) == []
 
 
 def test_pragma_for_other_rule_does_not_suppress():
-    source = 'def report(x):\n    print(x)  # repro: noqa[bare-except]\n'
-    assert [f.rule for f in lint_source(source, LIB)] == ["no-print"]
+    source = 'import random\nX = random.random()  # repro: noqa[pool-task]\n'
+    assert [f.rule for f in lint_source(source, LIB)] == ["unseeded-random"]
 
 
 def test_pragma_on_other_line_does_not_suppress():
-    source = '# repro: noqa[no-print]\ndef report(x):\n    print(x)\n'
-    assert [f.rule for f in lint_source(source, LIB)] == ["no-print"]
+    source = '# repro: noqa[unseeded-random]\nimport random\nX = random.random()\n'
+    assert [f.rule for f in lint_source(source, LIB)] == ["unseeded-random"]
 
 
-_TWO_RULES_ONE_LINE = "def g(x, acc=[]): print(x)  # repro: noqa[{spec}]\n"
+#: A module-level draw (unseeded-random) feeding a bare numpy.load
+#: (whole-file-read): two rules firing on one line.
+_TWO_RULES_ONE_LINE = (
+    "import numpy, random\n"
+    "W = numpy.load(random.choice(PATHS))  # repro: noqa[{spec}]\n"
+)
 
 
 def test_pragma_accepts_multiple_comma_separated_rules():
-    source = _TWO_RULES_ONE_LINE.format(spec="mutable-default,no-print")
+    source = _TWO_RULES_ONE_LINE.format(spec="unseeded-random,whole-file-read")
     assert lint_source(source, LIB) == []
 
 
 def test_multi_rule_pragma_tolerates_spaces():
-    source = _TWO_RULES_ONE_LINE.format(spec=" mutable-default , no-print ")
+    source = _TWO_RULES_ONE_LINE.format(
+        spec=" unseeded-random , whole-file-read "
+    )
     assert lint_source(source, LIB) == []
 
 
 def test_multi_rule_pragma_suppresses_only_named_rules():
-    source = _TWO_RULES_ONE_LINE.format(spec="mutable-default")
-    assert [f.rule for f in lint_source(source, LIB)] == ["no-print"]
+    source = _TWO_RULES_ONE_LINE.format(spec="unseeded-random")
+    assert [f.rule for f in lint_source(source, LIB)] == ["whole-file-read"]
 
 
 def test_several_pragmas_on_one_line_union_their_rules():
     source = (
-        "def g(x, acc=[]): print(x)"
-        "  # repro: noqa[mutable-default]  # repro: noqa[no-print]\n"
+        "import numpy, random\n"
+        "W = numpy.load(random.choice(PATHS))"
+        "  # repro: noqa[unseeded-random]  # repro: noqa[whole-file-read]\n"
     )
     assert lint_source(source, LIB) == []
 
 
 def test_bare_pragma_wins_over_named_pragmas_on_the_line():
     source = (
-        "def g(x, acc=[]): print(x)"
-        "  # repro: noqa[mutable-default]  # repro: noqa\n"
+        "import numpy, random\n"
+        "W = numpy.load(random.choice(PATHS))"
+        "  # repro: noqa[unseeded-random]  # repro: noqa\n"
     )
     assert lint_source(source, LIB) == []
 
@@ -82,22 +93,24 @@ def test_pragma_on_decorated_function_goes_on_the_def_line():
     # A decorated function's findings anchor at the ``def`` line (the
     # AST lineno skips decorators), so that is where the noqa belongs.
     source = (
-        "import functools\n\n\n"
+        "import functools\n"
+        "import numpy\n\n\n"
         "@functools.cache\n"
-        "def g(acc=[]):  # repro: noqa[mutable-default]\n"
-        "    return acc\n"
+        "def g(w=numpy.load('w.npy')):  # repro: noqa[whole-file-read]\n"
+        "    return w\n"
     )
     assert lint_source(source, LIB) == []
 
 
 def test_pragma_on_decorator_line_does_not_suppress_the_def():
     source = (
-        "import functools\n\n\n"
-        "@functools.cache  # repro: noqa[mutable-default]\n"
-        "def g(acc=[]):\n"
-        "    return acc\n"
+        "import functools\n"
+        "import numpy\n\n\n"
+        "@functools.cache  # repro: noqa[whole-file-read]\n"
+        "def g(w=numpy.load('w.npy')):\n"
+        "    return w\n"
     )
-    assert [f.rule for f in lint_source(source, LIB)] == ["mutable-default"]
+    assert [f.rule for f in lint_source(source, LIB)] == ["whole-file-read"]
 
 
 # -- baseline ----------------------------------------------------------
@@ -112,18 +125,18 @@ def make_tree(tmp_path, files):
 
 
 def test_baseline_suppresses_matching_rule_and_path(tmp_path):
-    root = make_tree(tmp_path, {"src/repro/lake/example.py": _PRINTING})
+    root = make_tree(tmp_path, {"src/repro/lake/example.py": _DRAWING})
     (root / ".repro-lint.json").write_text(json.dumps({
         "version": 1,
         "suppressions": [{
-            "rule": "no-print",
+            "rule": "unseeded-random",
             "path": "src/repro/lake/*.py",
             "reason": "legacy module, migration tracked elsewhere",
         }],
     }))
     result = run_lint(LintConfig(paths=["src"], root=str(root), use_cache=False))
     assert result.findings == []
-    assert [f.rule for f in result.baseline_suppressed] == ["no-print"]
+    assert [f.rule for f in result.baseline_suppressed] == ["unseeded-random"]
     assert result.unused_baseline == []
     assert result.exit_code(strict=True) == 0
 
@@ -133,9 +146,9 @@ def test_stale_baseline_entry_fails_strict_only(tmp_path):
     (root / ".repro-lint.json").write_text(json.dumps({
         "version": 1,
         "suppressions": [{
-            "rule": "no-print",
+            "rule": "unseeded-random",
             "path": "src/repro/lake/clean.py",
-            "reason": "was printing once",
+            "reason": "drew at import time once",
         }],
     }))
     result = run_lint(LintConfig(paths=["src"], root=str(root), use_cache=False))
@@ -152,9 +165,9 @@ def test_entries_for_skipped_phases_are_not_stale(tmp_path):
     (root / ".repro-lint.json").write_text(json.dumps({
         "version": 1,
         "suppressions": [{
-            "rule": "resource-leak",
+            "rule": "impure-digest-flow",
             "path": "src/repro/lake/clean.py",
-            "reason": "handle outlives the helper by design",
+            "reason": "the stamp is reported, never digested",
         }],
     }))
     config = LintConfig(paths=["src"], root=str(root), use_cache=False)
@@ -167,7 +180,7 @@ def test_entries_for_skipped_phases_are_not_stale(tmp_path):
         paths=["src"], root=str(root), use_cache=False, dataflow=True,
     ))
     assert [entry.rule for entry in with_dataflow.unused_baseline] == [
-        "resource-leak"
+        "impure-digest-flow"
     ]
     assert with_dataflow.exit_code(strict=True) == 1
 
@@ -202,7 +215,9 @@ def test_baseline_entry_requires_reason(tmp_path):
     path = tmp_path / ".repro-lint.json"
     path.write_text(json.dumps({
         "version": 1,
-        "suppressions": [{"rule": "no-print", "path": "x.py", "reason": " "}],
+        "suppressions": [
+            {"rule": "unseeded-random", "path": "x.py", "reason": " "}
+        ],
     }))
     with pytest.raises(ConfigError, match="reason"):
         load_baseline(str(path))
@@ -213,9 +228,11 @@ def test_missing_baseline_is_empty():
 
 
 def test_baseline_entry_matching_is_rule_scoped():
-    entry = BaselineEntry(rule="no-print", path="src/repro/*.py", reason="r")
+    entry = BaselineEntry(
+        rule="unseeded-random", path="src/repro/*.py", reason="r"
+    )
     baseline = Baseline([entry])
-    findings = lint_source('def f(x):\n    print(x)\n', "src/repro/mod.py")
+    findings = lint_source(_DRAWING, "src/repro/mod.py")
     kept, suppressed, unused = baseline.apply(findings)
     assert kept == [] and len(suppressed) == 1 and unused == []
 
@@ -224,31 +241,25 @@ def test_baseline_entry_matching_is_rule_scoped():
 
 
 def test_error_finding_fails_even_non_strict(tmp_path):
-    root = make_tree(tmp_path, {"src/repro/lake/example.py": _PRINTING})
+    root = make_tree(tmp_path, {"src/repro/lake/example.py": _DRAWING})
     result = run_lint(LintConfig(paths=["src"], root=str(root), use_cache=False))
     assert result.exit_code(strict=False) == 1
 
 
-def test_warning_finding_fails_only_strict(tmp_path):
-    source = """
-    def load(store, key):
-        try:
-            return store[key]
-        except KeyError:
-            pass
-        return None
-    """
-    root = make_tree(tmp_path, {"src/repro/lake/example.py": source})
-    result = run_lint(LintConfig(paths=["src"], root=str(root), use_cache=False))
-    assert [f.severity for f in result.findings] == ["warning"]
+def test_warning_finding_fails_only_strict():
+    warning = Finding(
+        path="src/repro/lake/example.py", line=1, col=0,
+        rule="unseeded-random", message="m", severity="warning",
+    )
+    result = LintResult(findings=[warning])
     assert result.exit_code(strict=False) == 0
     assert result.exit_code(strict=True) == 1
 
 
 def test_json_report_is_stable_across_runs(tmp_path):
     root = make_tree(tmp_path, {
-        "src/repro/lake/a.py": _PRINTING,
-        "src/repro/lake/b.py": 'def g(x, acc=[]):\n    print(x)\n',
+        "src/repro/lake/a.py": _DRAWING,
+        "src/repro/lake/b.py": _DRAWING + "Y = random.randint(0, 9)\n",
     })
     config = LintConfig(paths=["src"], root=str(root), use_cache=False)
     first = render_json(run_lint(config))
@@ -267,7 +278,7 @@ def test_json_report_is_stable_across_runs(tmp_path):
 
 def test_findings_identical_with_and_without_cache(tmp_path):
     root = make_tree(tmp_path, {
-        "src/repro/lake/a.py": _PRINTING,
+        "src/repro/lake/a.py": _DRAWING,
         "src/repro/lake/b.py": "Y = 2\n",
     })
     cached = LintConfig(paths=["src"], root=str(root))

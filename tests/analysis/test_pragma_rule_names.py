@@ -51,6 +51,6 @@ def test_pragmas_inside_strings_are_not_comments(tmp_path):
     path = tmp_path / "fixture.py"
     path.write_text(
         'SOURCE = "x = 1  # repro: noqa[not-a-rule]"\n'
-        "y = 2  # repro: noqa[no-print]\n"
+        "y = 2  # repro: noqa[unseeded-random]\n"
     )
-    assert list(_pragma_rules(path)) == [(2, "no-print")]
+    assert list(_pragma_rules(path)) == [(2, "unseeded-random")]

@@ -8,8 +8,6 @@ import pytest
 from repro.analysis import lint_source, rule_names
 
 LIB = "src/repro/lake/example.py"
-BENCH = "benchmarks/bench_example.py"
-TEST = "tests/lake/test_example.py"
 
 
 def findings_for(source, rel_path, rule):
@@ -107,101 +105,6 @@ CASES = {
                 return executor.run_wave(train, tasks)
         """,
     ),
-    "no-print": (
-        LIB,
-        """
-        def report(stats):
-            print(stats)
-        """,
-        """
-        from repro.obs.logging import get_logger
-
-        _log = get_logger("lake.example")
-
-        def report(stats):
-            _log.info("stats.computed", stats=stats)
-        """,
-    ),
-    "obs-logger": (
-        LIB,
-        """
-        import logging
-
-        _log = logging.getLogger("repro.lake.example")
-        """,
-        """
-        from repro.obs.logging import get_logger
-
-        _log = get_logger("lake.example")
-        """,
-    ),
-    "span-context": (
-        LIB,
-        """
-        from repro.obs.tracing import trace
-
-        def search(query):
-            span = trace("search.query", q=query)
-            span.__enter__()
-            return query
-        """,
-        """
-        from repro.obs.tracing import trace
-
-        def search(query):
-            with trace("search.query", q=query):
-                return query
-        """,
-    ),
-    "bench-result-schema": (
-        BENCH,
-        """
-        import json
-
-        def write_report(report, path):
-            with open(path, "w") as handle:
-                json.dump(report, handle, indent=2)
-        """,
-        """
-        from repro.obs.timeseries import BenchResult, append_result
-
-        def write_report(results_dir, metrics):
-            result = BenchResult(bench="example", mode="full", metrics=metrics)
-            return append_result(results_dir, result)
-        """,
-    ),
-    "mutable-default": (
-        TEST,
-        """
-        def collect(item, bucket=[]):
-            bucket.append(item)
-            return bucket
-        """,
-        """
-        def collect(item, bucket=None):
-            if bucket is None:
-                bucket = []
-            bucket.append(item)
-            return bucket
-        """,
-    ),
-    "bare-except": (
-        TEST,
-        """
-        def load(path):
-            try:
-                return open(path).read()
-            except:
-                return None
-        """,
-        """
-        def load(path):
-            try:
-                return open(path).read()
-            except OSError:
-                return None
-        """,
-    ),
     "raw-artifact-write": (
         LIB,
         """
@@ -256,29 +159,6 @@ CASES = {
             return np.load(path, mmap_mode="r")
         """,
     ),
-    "swallowed-exception": (
-        LIB,
-        """
-        def load(store, key):
-            try:
-                return store[key]
-            except KeyError:
-                pass
-            return None
-        """,
-        """
-        from repro.obs.logging import get_logger
-
-        _log = get_logger("lake.example")
-
-        def load(store, key):
-            try:
-                return store[key]
-            except KeyError:
-                _log.warning("load.missing", key=key)
-            return None
-        """,
-    ),
 }
 
 
@@ -304,19 +184,6 @@ def test_negative_fixture_is_clean(rule):
 
 
 # -- scoping -----------------------------------------------------------
-
-
-def test_no_print_exempts_cli_and_tests():
-    source = "print('hello')\n"
-    assert lint_source(source, "src/repro/cli.py") == []
-    assert lint_source(source, "tests/lake/test_example.py") == []
-    assert [f.rule for f in lint_source(source, BENCH)] == ["no-print"]
-
-
-def test_obs_logger_exempt_inside_obs_package():
-    source = "import logging\nlog = logging.getLogger('repro')\n"
-    assert findings_for(source, "src/repro/obs/logging.py", "obs-logger") == []
-    assert findings_for(source, LIB, "obs-logger")
 
 
 def test_unseeded_random_allows_calls_inside_functions():

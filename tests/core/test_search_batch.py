@@ -72,7 +72,7 @@ class TestBatchDeterminism:
                 with lock:
                     observed.append(got)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]  # repro: noqa[shared-state-race]
+        threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -93,7 +93,7 @@ class TestBatchDeterminism:
             with lock:
                 results.append(got)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]  # repro: noqa[shared-state-race]
+        threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:

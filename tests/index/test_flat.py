@@ -182,8 +182,8 @@ class TestFlatIndexConsistency:
 
         threads = [
             # Racing the index lock is the point of this test.
-            *(threading.Thread(target=writer, args=(wid,)) for wid in range(4)),  # repro: noqa[shared-state-race]
-            *(threading.Thread(target=reader) for _ in range(4)),  # repro: noqa[shared-state-race]
+            *(threading.Thread(target=writer, args=(wid,)) for wid in range(4)),
+            *(threading.Thread(target=reader) for _ in range(4)),
         ]
         for thread in threads:
             thread.start()

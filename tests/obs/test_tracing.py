@@ -1,5 +1,6 @@
 """Span hierarchy, enable/disable fast path, and exporter round-trips."""
 
+import asyncio
 import json
 import threading
 
@@ -107,6 +108,37 @@ class TestSpanHierarchy:
         spans = {s.name: s for s in exporter.spans()}
         assert spans["thread_span"].parent_id is None
         assert spans["main_span"].parent_id is None
+
+    def test_interleaved_tasks_keep_their_own_stacks(self, exporter):
+        async def request(name, entered, other_entered):
+            with trace(name):
+                entered.set()
+                await other_entered.wait()  # both spans open at once
+                with trace(f"{name}.child"):
+                    pass
+
+        async def main():
+            first, second = asyncio.Event(), asyncio.Event()
+            with trace("root"):
+                await asyncio.gather(
+                    request("a", first, second), request("b", second, first)
+                )
+
+        asyncio.run(main())
+        spans = {s.name: s for s in exporter.spans()}
+        assert spans["a"].parent_id == spans["root"].span_id
+        assert spans["b"].parent_id == spans["root"].span_id
+        assert spans["a.child"].parent_id == spans["a"].span_id
+        assert spans["b.child"].parent_id == spans["b"].span_id
+
+    def test_out_of_order_exit_leaves_no_span_open(self, exporter):
+        outer, inner = trace("outer"), trace("inner")
+        outer.__enter__()
+        inner.__enter__()
+        outer.__exit__(None, None, None)
+        assert current_span().name == "inner"
+        inner.__exit__(None, None, None)
+        assert current_span() is None
 
 
 class TestEnableDisable:

@@ -463,7 +463,7 @@ class TestConcurrency:
 
         threads = [
             # Failures list is only read after every join below.
-            threading.Thread(target=worker, args=(wid,)) for wid in range(8)  # repro: noqa[shared-state-race]
+            threading.Thread(target=worker, args=(wid,)) for wid in range(8)
         ]
         for thread in threads:
             thread.start()
@@ -489,7 +489,7 @@ class TestConcurrency:
 
             for triple in burst:
                 # Distinct keys per thread; dict reads happen after join.
-                threads.append(threading.Thread(target=one, args=triple))  # repro: noqa[shared-state-race]
+                threads.append(threading.Thread(target=one, args=triple))
             for thread in threads:
                 thread.start()
             for thread in threads:
