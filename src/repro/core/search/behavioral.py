@@ -100,28 +100,28 @@ def extract_query_domains(query_text: str) -> List[str]:
 
 def embedding_index(
     lake: ModelLake, embedder, cache: Optional[EmbeddingCache] = None
-) -> Tuple[FlatIndex, Dict[str, np.ndarray]]:
-    """One exact index over every lake model's embedding, plus the
-    embeddings by model id.
+) -> FlatIndex:
+    """One exact index over every lake model's embedding.
 
     Vectors are read from ``cache`` by weight digest; a miss loads and
     embeds the model and stores the result.  The index is the same on
     any on-disk layout: sharding is a storage concern, not a search one.
     """
     space = embedder.space_key
-    vectors: Dict[str, np.ndarray] = {}
-    for model_id, digest in zip(lake.model_ids(), lake.weight_digests()):
+    model_ids = lake.model_ids()
+    vectors: List[np.ndarray] = []
+    for model_id, digest in zip(model_ids, lake.weight_digests()):
         vector = cache.get(space, digest) if cache is not None else None
         if vector is None:
             model = lake.get_model(model_id, force=True)
             vector = embedder.embed(model)
             if cache is not None:
                 cache.put(space, digest, vector)
-        vectors[model_id] = vector
+        vectors.append(vector)
     index = FlatIndex()
     if vectors:
-        index.build(list(vectors), np.stack(list(vectors.values())))
-    return index, vectors
+        index.build(list(model_ids), np.stack(vectors))
+    return index
 
 
 class BehavioralSearcher:
@@ -147,14 +147,11 @@ class BehavioralSearcher:
         self.lake = lake
         self.probes = probes
         self.embedder = BehavioralEmbedder(probes)
-        self._index, self._profiles = embedding_index(lake, self.embedder, cache)
+        self._index = embedding_index(lake, self.embedder, cache)
 
     @property
     def index(self):
         return self._index
-
-    def profile_of(self, model_id: str) -> np.ndarray:
-        return self._profiles[model_id]
 
     def search_domains(
         self, target_domains: Sequence[str], k: int = 10

@@ -11,6 +11,7 @@ indexer retrieves, and ranked models come back.  Modes:
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -29,6 +30,7 @@ from repro.data.probes import ProbeSet, make_text_probes
 from repro.errors import ConfigError, ModelNotFoundError
 from repro.index.cache import EmbeddingCache
 from repro.index.embedders import WeightStatEmbedder
+from repro.index.flat import FlatIndex
 from repro.lake.lake import ModelLake
 from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import (
@@ -69,8 +71,11 @@ class SearchHit:
 class SearchEngine:
     """Builds and queries all indexes for one lake snapshot.
 
-    The engine indexes at construction time; re-create it after lake
-    mutations (real deployments would index incrementally — see
+    The engine builds the BM25 and behavioral indexes at construction
+    time; the weight-statistics view, which only model-as-query
+    :meth:`related_models` (``view="weight"``) reads, is built on its
+    first use.  Re-create the engine after lake mutations (real
+    deployments would index incrementally — see
     :mod:`repro.core.benchmarking.lifelong` for the incremental story).
 
     ``cache_dir`` (conventionally ``<lake>/cache/``) enables the
@@ -109,12 +114,11 @@ class SearchEngine:
             self.behavioral: BehavioralSearcher = BehavioralSearcher(
                 lake, self.probes, cache=cache,
             )
-            self._weight_embedder = WeightStatEmbedder()
-            self._weight_index, _ = embedding_index(
-                lake, self._weight_embedder, cache
-            )
             if cache is not None:
                 cache.flush()
+        self._weight_embedder = WeightStatEmbedder()
+        self._weight_index: Optional[FlatIndex] = None
+        self._weight_lock = threading.Lock()
         obs_metrics.inc(SEARCH_ENGINE_BUILDS)
         _log.debug("engine.built", models=len(lake))
 
@@ -248,20 +252,38 @@ class SearchEngine:
         self, model_id: str, k: int = 10, view: str = "behavioral"
     ) -> List[SearchHit]:
         """Model-as-query search from an existing lake model."""
-        record = self.lake.get_record(model_id)
+        if view not in ("behavioral", "weight"):
+            raise ConfigError(f"unknown view {view!r}; expected behavioral|weight")
         model = self.lake.get_model(model_id, force=True)
         if view == "behavioral":
             results = self.behavioral.search_by_model(model, k=k, exclude_id=model_id)
-        elif view == "weight":
+        else:
             vector = self._weight_embedder.embed(model)
             results = [
                 (mid, score)
-                for mid, score in self._weight_index.query(vector, k=k + 1)
+                for mid, score in self._weight_view().query(vector, k=k + 1)
                 if mid != model_id
             ][:k]
-        else:
-            raise ConfigError(f"unknown view {view!r}; expected behavioral|weight")
         return [SearchHit(mid, score, f"related_{view}") for mid, score in results]
+
+    def _weight_view(self) -> FlatIndex:
+        """The weight-statistics index, built by its first caller.
+
+        Concurrent first callers share one build: the rest wait on the
+        lock and read the finished index.
+        """
+        index = self._weight_index
+        if index is not None:
+            return index
+        with self._weight_lock:
+            if self._weight_index is None:
+                with trace("search.engine.weight_build", models=len(self.lake)):
+                    self._weight_index = embedding_index(
+                        self.lake, self._weight_embedder, self.cache
+                    )
+                    if self.cache is not None:
+                        self.cache.flush()
+            return self._weight_index
 
     def related_to_external_model(self, model: Module, k: int = 10) -> List[SearchHit]:
         """Model-as-query where the query model is not in the lake."""

@@ -35,6 +35,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import EMBED_CACHE_HITS, EMBED_CACHE_MISSES
 from repro.obs.logging import get_logger
 from repro.reliability.atomic import atomic_write_npz, read_npz
+from repro.reliability.faults import InjectedFault
 
 _log = get_logger("index.embed_cache")
 
@@ -137,7 +138,11 @@ class EmbeddingCache:
         of their vectors.  Holds the cache lock for the whole sweep so a
         concurrent reader can neither observe a file mid-rewrite through
         a racing lazy load nor slip a put between the snapshot and the
-        dirty-set clear (which would silently drop its dirty mark).
+        space's dirty mark being cleared (which would silently drop it).
+
+        A space whose file cannot be written (a read-only lake, say) is
+        logged and stays dirty, its vectors still served from memory; a
+        later flush tries it again.
         """
         with self._lock:
             if self._directory is None:
@@ -146,9 +151,17 @@ class EmbeddingCache:
             for space in sorted(self._dirty):
                 vectors = self._spaces[space]
                 digests = sorted(vectors)
-                atomic_write_npz(self._path(space), {
-                    "digests": np.array(digests),
-                    "vectors": np.stack([vectors[d] for d in digests]),
-                })
+                path = self._path(space)
+                try:
+                    atomic_write_npz(path, {
+                        "digests": np.array(digests),
+                        "vectors": np.stack([vectors[d] for d in digests]),
+                    })
+                except InjectedFault:
+                    # Models a process kill, which logs nothing.
+                    raise
+                except OSError as exc:
+                    _log.warning("embeddings.save_failed", path=path, error=str(exc))
+                    continue
+                self._dirty.discard(space)
                 _log.debug("space.flushed", space=space, entries=len(vectors))
-            self._dirty.clear()

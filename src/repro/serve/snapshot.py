@@ -10,9 +10,12 @@ deterministically.
 
 A warm open reads only derived files under ``<dir>/cache``: the record
 table (ids, weight digests and card texts, so no record is built until
-a request asks for one), the frozen BM25 table and one embedding matrix
-per space.  Each is keyed by what it was derived from, and any that is
-missing, stale or unreadable is rebuilt and rewritten by the open.
+a request asks for one), the frozen BM25 table and the behavioral
+embedding matrix.  Each is keyed by what it was derived from, and any
+that is missing, stale or unreadable is rebuilt and rewritten by the
+open.  The weight-statistics matrix is read (or built and written) only
+when a ``related_models(view="weight")`` call first needs it; nothing
+the server answers does.
 
 Hot swap works by *replacing*, never mutating: ``reload()`` builds a
 completely fresh snapshot from disk (new lake, new engine, new memmaps)

@@ -28,7 +28,7 @@ class TestEngineSurface:
     def test_profile_of(self, lake_bundle, probes):
         engine = SearchEngine(lake_bundle.lake, probes)
         model_id = lake_bundle.truth.foundations[0]
-        profile = engine.behavioral.profile_of(model_id)
+        profile = engine.behavioral.index.vector_of(model_id)
         assert profile.shape == (probes.num_probes,)
         assert abs(np.linalg.norm(profile) - 1.0) < 1e-9
 

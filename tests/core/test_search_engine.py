@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.search import SearchEngine
 from repro.errors import ConfigError, ModelNotFoundError
+from repro.obs import metrics as obs_metrics
+from repro.obs.instrument import LAKE_MODEL_LOADS
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +57,11 @@ class TestRelatedModels:
         assert any(h.model_id in children for h in hits)
 
     def test_invalid_view(self, engine, lake_bundle):
+        loads = obs_metrics.get_registry().counter(LAKE_MODEL_LOADS)
+        before = loads.value
         with pytest.raises(ConfigError):
             engine.related_models(lake_bundle.truth.foundations[0], view="vibes")
+        assert loads.value == before  # rejected before the model is loaded
 
 
 class TestStructuredQueries:

@@ -1,10 +1,19 @@
 """Tests for the persistent embedding cache and its SearchEngine wiring."""
 
+import errno
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.search import SearchEngine
+from repro.core.search import engine as engine_module
+from repro.core.search.behavioral import embedding_index
 from repro.index import EmbeddingCache
+from repro.index import cache as cache_module
+from repro.index.embedders import WeightStatEmbedder
 from repro.lake import load_lake, save_lake
 from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import (
@@ -12,6 +21,32 @@ from repro.obs.instrument import (
     EMBED_CACHE_MISSES,
     LAKE_MODEL_LOADS,
 )
+from repro.serve.snapshot import LakeSnapshot
+
+
+def _weight_query(engine):
+    """One model-as-query weight search: builds the lazy weight view."""
+    model_id = engine.lake.model_ids()[0]
+    return engine.related_models(model_id, k=3, view="weight")
+
+
+class _Events:
+    """Stands in for the cache's structured logger; keeps warning events."""
+
+    def __init__(self):
+        self.warnings = []
+
+    def warning(self, event, **fields):
+        self.warnings.append(event)
+
+    def debug(self, event, **fields):
+        pass
+
+    info = debug
+
+
+def _refuse(path, arrays, fsync=True):
+    raise PermissionError(errno.EACCES, "Permission denied", path)
 
 
 class TestEmbeddingCache:
@@ -53,6 +88,20 @@ class TestEmbeddingCache:
         cache.put("s", "d", np.ones(1))
         cache.get("s", "d")
         assert (hits.value, misses.value) == (h0 + 1, m0 + 1)
+
+    def test_unwritable_directory_keeps_space_dirty(self, tmp_path, monkeypatch):
+        events = _Events()
+        monkeypatch.setattr(cache_module, "_log", events)
+        monkeypatch.setattr(cache_module, "atomic_write_npz", _refuse)
+        cache = EmbeddingCache(str(tmp_path))
+        cache.put("s", "d", np.full(2, 4.0))
+        cache.flush()  # logs instead of raising
+        assert events.warnings == ["embeddings.save_failed"]
+        assert cache.get("s", "d").tolist() == [4.0, 4.0]  # still in memory
+        assert not (tmp_path / "embeddings-s.npz").exists()
+        monkeypatch.undo()
+        cache.flush()  # still dirty: the next flush writes it
+        assert EmbeddingCache(str(tmp_path)).get("s", "d").tolist() == [4.0, 4.0]
 
 
 class TestCacheFileLayout:
@@ -136,7 +185,8 @@ class TestShardedLakeCache:
 
     def test_one_file_per_space(self, probes, sharded_dir):
         cache_dir = sharded_dir / "cache"
-        SearchEngine(load_lake(str(sharded_dir)), probes, cache_dir=str(cache_dir))
+        lake = load_lake(str(sharded_dir))
+        _weight_query(SearchEngine(lake, probes, cache_dir=str(cache_dir)))
         entries = sorted(cache_dir.iterdir())
         assert all(entry.is_file() for entry in entries), entries
         names = [entry.name for entry in entries]
@@ -152,6 +202,7 @@ class TestShardedLakeCache:
         cache_dir = sharded_dir / "cache"
         lake = load_lake(str(sharded_dir))
         cold = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        _weight_query(cold)
         # Move every space into the older per-digest-prefix layout.
         for path in sorted(cache_dir.glob("embeddings-*.npz")):
             with np.load(path) as archive:
@@ -172,10 +223,12 @@ class TestShardedLakeCache:
         misses = registry.counter(EMBED_CACHE_MISSES)
         h0, m0 = hits.value, misses.value
         rebuilt = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        _weight_query(rebuilt)
         assert hits.value == h0  # the prefix directories are not read
         assert misses.value - m0 == 2 * len(lake)
         h0, m0 = hits.value, misses.value
         warm = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        _weight_query(warm)
         assert (hits.value - h0, misses.value - m0) == (2 * len(lake), 0)
         assert len(list(cache_dir.glob("embeddings-*.npz"))) == 2
         for engine in (rebuilt, warm):
@@ -211,7 +264,7 @@ class TestSearchEngineCache:
     def test_warm_rebuild_across_processes_shape(self, lake, probes, tmp_path):
         """The on-disk layout is one npz per embedding space."""
         cache_dir = tmp_path / "cache"
-        SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        _weight_query(SearchEngine(lake, probes, cache_dir=str(cache_dir)))
         files = sorted(p.name for p in cache_dir.iterdir())
         assert any(f.startswith("embeddings-behavioral-") for f in files)
         assert "embeddings-weightstat-s4.npz" in files
@@ -229,6 +282,97 @@ class TestSearchEngineCache:
         engine = SearchEngine(lake, probes)
         assert engine.cache is None
         assert engine.search("legal", k=3)
+
+    def test_unwritable_cache_does_not_fail_the_engine(
+        self, lake, probes, tmp_path, monkeypatch
+    ):
+        expected = SearchEngine(lake, probes)
+        events = _Events()
+        monkeypatch.setattr(cache_module, "_log", events)
+        monkeypatch.setattr(cache_module, "atomic_write_npz", _refuse)
+        engine = SearchEngine(lake, probes, cache_dir=str(tmp_path / "cache"))
+        assert _weight_query(engine) == _weight_query(expected)
+        assert engine.search("legal", k=5) == expected.search("legal", k=5)
+        assert events.warnings == ["embeddings.save_failed"] * 3
+        assert not list((tmp_path / "cache").glob("embeddings-*"))
+
+
+class TestLazyWeightView:
+    """The weight-statistics index is built by its first query, once."""
+
+    @pytest.fixture()
+    def lake(self, lake_bundle):
+        return lake_bundle.lake
+
+    @pytest.fixture()
+    def lake_dir(self, lake_bundle, tmp_path):
+        directory = tmp_path / "lake"
+        save_lake(lake_bundle.lake, str(directory), sharded=True)
+        return directory
+
+    def test_warm_open_reads_only_the_behavioral_space(
+        self, lake_dir, monkeypatch
+    ):
+        LakeSnapshot.open(str(lake_dir)).close()  # writes the cache files
+        reads = []
+        real_read = cache_module.read_npz
+
+        def recording_read(path, members):
+            reads.append(os.path.basename(path))
+            return real_read(path, members)
+
+        monkeypatch.setattr(cache_module, "read_npz", recording_read)
+        registry = obs_metrics.get_registry()
+        hits = registry.counter(EMBED_CACHE_HITS)
+        misses = registry.counter(EMBED_CACHE_MISSES)
+        h0, m0 = hits.value, misses.value
+        with LakeSnapshot.open(str(lake_dir)) as snapshot:
+            assert (hits.value - h0, misses.value - m0) == (len(snapshot.lake), 0)
+            assert len(reads) == 1 and reads[0].startswith("embeddings-behavioral-")
+            assert not (lake_dir / "cache" / "embeddings-weightstat-s4.npz").exists()
+            _weight_query(snapshot.engine)
+        assert reads[1:] == ["embeddings-weightstat-s4.npz"]
+        assert (lake_dir / "cache" / "embeddings-weightstat-s4.npz").exists()
+
+    def test_lazy_view_matches_an_eager_index(self, lake, probes, tmp_path):
+        eager = embedding_index(lake, WeightStatEmbedder())
+        engine = SearchEngine(lake, probes, cache_dir=str(tmp_path / "cache"))
+        embedder = WeightStatEmbedder()
+        for model_id in lake.model_ids():
+            vector = embedder.embed(lake.get_model(model_id, force=True))
+            expected = [
+                (mid, score) for mid, score in eager.query(vector, k=6)
+                if mid != model_id
+            ][:5]
+            hits = engine.related_models(model_id, k=5, view="weight")
+            assert [(h.model_id, h.score) for h in hits] == expected
+
+    def test_concurrent_first_queries_build_once(self, lake, probes, monkeypatch):
+        engine = SearchEngine(lake, probes)
+        builds = []
+        real_build = engine_module.embedding_index
+
+        def slow_build(*args, **kwargs):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # widen the race window
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "embedding_index", slow_build)
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def ask(slot):
+            start.wait(timeout=10)
+            results[slot] = _weight_query(engine)
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(builds) == 1
+        assert all(result == results[0] for result in results)
+        assert results[0]
 
 
 class TestCacheThreadSafety:
