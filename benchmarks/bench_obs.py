@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import record_bench_result, record_table
+from benchmarks.conftest import record_table
 from repro.core.search import SearchEngine
 from repro.core.search import engine as engine_module
 from repro.obs import InMemoryExporter, add_exporter, remove_exporter
@@ -152,11 +152,6 @@ class TestObservabilityOverhead:
             f"  ({export_overhead:+.2%})",
             f"overhead per query:           {per_query * 1e6:8.1f} us",
         ])
-        record_bench_result("obs.overhead", {
-            "uninstrumented_sweep_seconds": uninstrumented,
-            "instrumented_sweep_seconds": instrumented,
-            "exporting_sweep_seconds": exporting,
-        })
         # The acceptance bar, with 1 ms of absolute slack per sweep so
         # scheduler noise cannot fail a sub-millisecond comparison.
         assert instrumented <= uninstrumented * 1.05 + 1e-3

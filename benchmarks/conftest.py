@@ -75,22 +75,6 @@ def record_table(name: str, lines: Iterable[str]) -> List[str]:
     return lines
 
 
-def record_bench_result(bench: str, metrics: Dict[str, float], mode: str = "full"):
-    """Append a schema-versioned result to the perf trajectory.
-
-    Gated on ``REPRO_BENCH_RECORD`` so ordinary pytest runs stay
-    read-only; set it (as the CI perf job does) to extend the series
-    under ``results/trajectory/`` via :mod:`repro.obs.timeseries`.
-    """
-    if not os.environ.get("REPRO_BENCH_RECORD"):
-        return None
-    from repro.obs.timeseries import BenchResult, append_result
-
-    return append_result(
-        RESULTS_DIR, BenchResult(bench=bench, mode=mode, metrics=dict(metrics))
-    )
-
-
 @pytest.fixture(scope="session")
 def probes():
     return make_text_probes(probes_per_domain=4, seq_len=24)

@@ -402,10 +402,18 @@ def _cmd_bench(args) -> int:
             return 2
         benches = [spec for spec in benches if spec.name in selected]
     failed: List[str] = []
+    broken: List[str] = []
     documents = []
     for spec in benches:
         print(f"[bench] {spec.name} ({mode}) ...", file=sys.stderr)
-        metrics = spec.fn(mode)
+        try:
+            metrics = spec.fn(mode)
+        except AssertionError as error:
+            # A bench raises when the guarantee its fast path keeps
+            # breaks; that run has no numbers worth recording.
+            print(f"error: {spec.name}: {error}", file=sys.stderr)
+            broken.append(spec.name)
+            continue
         result = timeseries.BenchResult(bench=spec.name, mode=mode, metrics=metrics)
         document = {"result": result.to_dict()}
         history = timeseries.load_trajectory(args.results, spec.name)
@@ -437,8 +445,11 @@ def _cmd_bench(args) -> int:
         print(
             f"error: perf regression in: {', '.join(failed)}", file=sys.stderr
         )
-        return 1
-    return 0
+    if broken:
+        print(
+            f"error: broken guarantee in: {', '.join(broken)}", file=sys.stderr
+        )
+    return 1 if failed or broken else 0
 
 
 def _parse_rule_list(raw: Optional[str]) -> Optional[List[str]]:

@@ -10,7 +10,7 @@ Reads from disk are *lazy*: a blob is stream-verified against the
 digest that names it (O(chunk) memory), then opened with ``np.memmap``
 so array bytes are paged in on access and never copied into the store.
 That keeps resident memory flat no matter how many models a lake holds
-— the property ``benchmarks/bench_shard.py`` gates on.  A store opened
+— the property the ``shard.rss`` bench of ``repro bench`` gates on.  A store opened
 over a persisted lake (``write_through=False``) is a pure read layer:
 ``put`` keeps new blobs in memory only, so rehydrating models never
 mutates the on-disk lake.

@@ -3,15 +3,20 @@
 The heavyweight experiment benchmarks under ``benchmarks/`` answer the
 paper's quality questions; this package is the *operational* suite — a
 handful of fast, deterministic measurements of the hot paths (lake
-generation, search engine builds, index queries) that run on every CI
-push and append to the perf trajectory
-(:mod:`repro.obs.timeseries`), so "did this PR make the lake slower?"
-has a recorded, regression-gated answer.
+generation, search engine builds, index queries, the sharded store, the
+dataflow lint) that run on every CI push.  It is the only writer of the
+perf trajectory (``benchmarks/results/trajectory/<bench>.json``, via
+:mod:`repro.obs.timeseries`), so "did this change make the lake
+slower?" has a recorded, regression-gated answer.
 
 Benchmarks register through :func:`register_bench`; each is a callable
 ``fn(mode) -> {metric: value}`` where ``mode`` is ``"full"`` or
-``"smoke"``.  Registration carries per-metric tolerances — wall-clock
-metrics on shared CI hardware need looser gates than counters.
+``"smoke"``.  A benchmark returns only numbers; when a guarantee its
+fast path must keep breaks (a parallel lake differs from the sequential
+one, say), it raises instead of reporting a flag, so ``repro bench``
+fails whether or not ``--check`` is given.  Registration carries
+per-metric tolerances — wall-clock metrics on shared CI hardware need
+looser gates than counters.
 """
 
 from __future__ import annotations

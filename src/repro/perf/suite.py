@@ -1,4 +1,4 @@
-"""The operational benchmark suite: generation, search, index hot paths.
+"""The operational benchmark suite: generation, search, index, store and lint.
 
 Every benchmark here is small enough to run on a 1-core CI container in
 seconds (``smoke`` mode) while still exercising the real code paths —
@@ -7,6 +7,11 @@ regression in any of them is a regression users of the library would
 feel.  ``full`` mode scales the same measurements up for workstation
 runs.
 
+Each benchmark also checks the guarantee its fast path must keep (a
+parallel lake equals the sequential one, a sharded save equals a flat
+one, a fresh lake fscks clean, mmap reads stay out of core, the lint
+cache invalidates exactly) and raises ``AssertionError`` when it breaks.
+
 Wall-clock metrics get generous tolerances (shared CI hardware jitters
 by tens of percent); the regression gate is meant to catch the 2x
 "someone quadratic-ed the hot loop" class of slip, not 10% noise.
@@ -14,6 +19,9 @@ by tens of percent); the regression gate is meant to catch the 2x
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from typing import Callable, Dict
@@ -62,21 +70,51 @@ def _best_of(rounds: int, sweep: Callable[[], None]) -> float:
     return best
 
 
+def _fingerprint(bundle) -> tuple:
+    """What ``workers`` must not change: ids, weight digests, edges."""
+    records = list(bundle.lake)
+    return (
+        [record.model_id for record in records],
+        [record.weights_digest for record in records],
+        [
+            (tuple(parents), child, transform.kind)
+            for parents, child, transform in bundle.truth.edges
+        ],
+    )
+
+
 @register_bench(
     "generate",
-    description="lake generation wall time (sequential, tiny spec)",
+    description="lake generation at workers=1, then workers=2; lakes must match",
     tolerances={"generate_seconds": WALL_CLOCK_TOLERANCE,
-                "models_per_second": WALL_CLOCK_TOLERANCE},
+                "models_per_second": WALL_CLOCK_TOLERANCE,
+                "parallel_seconds": WALL_CLOCK_TOLERANCE,
+                "speedup": 2.5},
 )
 def bench_generate(mode: str) -> Dict[str, float]:
+    from repro.lake import LakeSpec, generate_lake
+
+    spec_kwargs = _SMOKE_SPEC if mode == "smoke" else _FULL_SPEC
     start = time.perf_counter()
-    bundle = _build_lake(mode)
+    sequential = generate_lake(LakeSpec(**spec_kwargs, workers=1))
     elapsed = time.perf_counter() - start
-    models = len(list(bundle.lake))
+    # On a 1-CPU host the parallel run only measures pool overhead, so
+    # ``speedup`` is a host fact as much as a code fact.
+    start = time.perf_counter()
+    parallel = generate_lake(LakeSpec(**spec_kwargs, workers=2))
+    parallel_elapsed = time.perf_counter() - start
+    if _fingerprint(parallel) != _fingerprint(sequential):
+        raise AssertionError(
+            "lake generated with workers=2 differs from workers=1 "
+            "(model ids, weight digests or derivation edges)"
+        )
+    models = len(list(sequential.lake))
     return {
         "generate_seconds": round(elapsed, 3),
         "models": float(models),
         "models_per_second": round(models / elapsed, 3),
+        "parallel_seconds": round(parallel_elapsed, 3),
+        "speedup": round(elapsed / parallel_elapsed, 3),
     }
 
 
@@ -123,17 +161,16 @@ def bench_search(mode: str) -> Dict[str, float]:
     description="sharded save/lazy-load/fsck vs flat layout, digest parity",
     tolerances={"sharded_save_seconds": WALL_CLOCK_TOLERANCE,
                 "lazy_load_seconds": WALL_CLOCK_TOLERANCE,
-                "fsck_seconds": WALL_CLOCK_TOLERANCE},
+                "fsck_seconds": WALL_CLOCK_TOLERANCE,
+                "fsck_parallel_seconds": WALL_CLOCK_TOLERANCE},
 )
 def bench_shard(mode: str) -> Dict[str, float]:
     import json
-    import os
 
     from repro.lake import load_lake, save_lake
     from repro.reliability.fsck import fsck_lake
 
     bundle = _build_lake(mode)
-    workers = 1 if mode == "smoke" else 2
     with tempfile.TemporaryDirectory() as root:
         flat_dir = os.path.join(root, "flat")
         shard_dir = os.path.join(root, "sharded")
@@ -161,21 +198,199 @@ def bench_shard(mode: str) -> Dict[str, float]:
         first = sorted(record.model_id for record in lake)[0]
         lake.get_model(first, force=True)
 
-        start = time.perf_counter()
-        report = fsck_lake(shard_dir, workers=workers)
-        fsck = time.perf_counter() - start
-        if not report.clean:
-            raise AssertionError(
-                f"fsck found problems in a freshly saved sharded lake: "
-                f"{[f.kind for f in report.findings]}"
-            )
+        fsck = {}
+        for workers in (1, 2):
+            start = time.perf_counter()
+            report = fsck_lake(shard_dir, workers=workers)
+            fsck[workers] = time.perf_counter() - start
+            if not report.clean:
+                raise AssertionError(
+                    f"fsck (workers={workers}) found problems in a freshly "
+                    f"saved sharded lake: {[f.kind for f in report.findings]}"
+                )
     return {
         "models": float(models),
         "sharded_save_seconds": round(sharded_save, 3),
         "lazy_load_seconds": round(lazy_load, 3),
-        "fsck_seconds": round(fsck, 3),
+        "fsck_seconds": round(fsck[1], 3),
+        "fsck_parallel_seconds": round(fsck[2], 3),
         "manifest_digest_identical": 1.0,
     }
+
+
+#: ``shard.rss`` lake sizes (model counts).  Full mode spans the 10x
+#: growth its bounds gate; smoke keeps CI to seconds.
+_RSS_SIZES = {"smoke": (32, 128), "full": (1000, 5000, 10000)}
+
+#: Synthetic model shape: ~18KB of float64 weights per model, so the
+#: largest full lake carries ~180MB of blobs — enough for resident
+#: growth to dwarf interpreter-baseline noise.
+_RSS_MODEL_SPEC = {
+    "family": "mlp_classifier",
+    "in_features": 32,
+    "num_classes": 8,
+    "hidden": [56],
+}
+
+#: Full mode: raw peak RSS of the mmap search over the largest lake,
+#: relative to the smallest.  Raw, not baseline-subtracted, because
+#: flatness is a claim about what the user's process consumes; the
+#: residual growth is the O(n) record catalog, resident by design.
+MMAP_FLAT_BOUND = 1.5
+
+#: Full mode: floor for the resident read's baseline-subtracted growth
+#: over the 10x size spread.  The ideal is ~10x; >=5x proves linearity
+#: without flaking on allocator slack.
+RESIDENT_GROWTH_FLOOR = 5.0
+
+#: Full mode: at the largest size, materializing must cost several
+#: times the mmap working set — the evidence that weights stayed out
+#: of core.
+RESIDENT_VS_MMAP_FLOOR = 4.0
+
+
+def build_synthetic_lake(num_models: int, seed: int = 11):
+    """A lake of ``num_models`` same-architecture models with
+    deterministic per-model weight perturbations (unique digests)."""
+    from repro.lake import ModelLake
+    from repro.nn.models import build_model
+
+    rng = np.random.default_rng(seed)
+    template = build_model(_RSS_MODEL_SPEC, seed=seed)
+    base_state = template.state_dict()
+    lake = ModelLake()
+    for i in range(num_models):
+        template.load_state_dict({
+            key: value + rng.normal(scale=0.01, size=value.shape)
+            for key, value in base_state.items()
+        })
+        lake.add_model(template, name=f"synth-{i:05d}")
+    return lake
+
+
+def _peak_rss_kb() -> int:
+    """This process's peak RSS in KB.
+
+    ``getrusage`` would report the parent's high-water mark, which a
+    forked child inherits; ``VmHWM`` is per address space and resets on
+    exec, which is the isolation the measurement needs.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    import resource  # non-Linux fallback
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def _rss_probe(read: str, directory: str) -> int:
+    """Run one read pattern in this process; return its peak RSS (KB).
+
+    ``baseline`` imports what the others use and loads nothing;
+    ``mmap`` loads lazily and ``resident`` materializes every blob.
+    Both loads then embed every model, build a flat index and query it:
+    the whole-lake read pattern the out-of-core claim is about.
+    """
+    from repro.index.embedders import WeightStatEmbedder
+    from repro.index.flat import FlatIndex
+    from repro.lake import load_lake
+
+    if read != "baseline":
+        lake = load_lake(directory, materialize=(read == "resident"))
+        embedder = WeightStatEmbedder()
+        ids, vectors = [], []
+        for record in lake:
+            ids.append(record.model_id)
+            vectors.append(
+                embedder.embed(lake.get_model(record.model_id, force=True))
+            )
+        index = FlatIndex()
+        index.build(ids, np.stack(vectors))
+        index.query(vectors[0], k=5)
+    return _peak_rss_kb()
+
+
+def _measure_rss(read: str, directory: str) -> int:
+    """Peak RSS (KB) of a fresh interpreter running :func:`_rss_probe`."""
+    src = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+    )
+    code = (
+        f"import sys\nfrom {__name__} import {_rss_probe.__name__} as probe\n"
+        "print(probe(sys.argv[1], sys.argv[2]))"
+    )
+    output = subprocess.run(
+        [sys.executable, "-c", code, read, directory],
+        check=True, capture_output=True, text=True, env=env,
+    ).stdout
+    return int(output.strip().splitlines()[-1])
+
+
+@register_bench(
+    "shard.rss",
+    description="peak RSS of a whole-lake weight search, mmap vs resident reads",
+)
+def bench_shard_rss(mode: str) -> Dict[str, float]:
+    from repro.lake import save_lake
+
+    sizes = _RSS_SIZES[mode]
+    small, large = sizes[0], sizes[-1]
+    baseline = _measure_rss("baseline", "")
+    peaks: Dict[str, Dict[int, int]] = {"mmap": {}, "resident": {}}
+    with tempfile.TemporaryDirectory() as root:
+        for size in sizes:
+            directory = os.path.join(root, f"lake-{size}")
+            save_lake(build_synthetic_lake(size), directory, sharded=True)
+            for read in peaks:
+                peaks[read][size] = _measure_rss(read, directory)
+    mmap_delta = max(peaks["mmap"][large] - baseline, 1)
+    resident_small = max(peaks["resident"][small] - baseline, 1)
+    resident_large = max(peaks["resident"][large] - baseline, 1)
+    metrics = {
+        "baseline_kb": float(baseline),
+        "models_small": float(small),
+        "models_large": float(large),
+        "mmap_peak_small_kb": float(peaks["mmap"][small]),
+        "mmap_peak_large_kb": float(peaks["mmap"][large]),
+        "mmap_peak_ratio": round(peaks["mmap"][large] / peaks["mmap"][small], 2),
+        "mmap_delta_large_kb": float(mmap_delta),
+        "resident_delta_small_kb": float(resident_small),
+        "resident_delta_large_kb": float(resident_large),
+        "resident_growth": round(resident_large / resident_small, 2),
+        "resident_vs_mmap": round(resident_large / mmap_delta, 2),
+    }
+    if mode == "smoke":
+        # Tiny lakes sit inside allocator noise; only the ordering of
+        # the two reads is a meaningful gate there.
+        if peaks["mmap"][large] > resident_large + peaks["mmap"][small]:
+            raise AssertionError(
+                "mmap peak RSS exceeded the resident working set at smoke scale"
+            )
+        return metrics
+    if metrics["mmap_peak_ratio"] > MMAP_FLAT_BOUND:
+        raise AssertionError(
+            f"mmap peak RSS grew {metrics['mmap_peak_ratio']}x "
+            f"(> {MMAP_FLAT_BOUND}x) from {small} to {large} models"
+        )
+    if metrics["resident_growth"] < RESIDENT_GROWTH_FLOOR:
+        raise AssertionError(
+            f"resident RSS delta grew only {metrics['resident_growth']}x "
+            f"(< {RESIDENT_GROWTH_FLOOR}x); the materialized control is "
+            "not measuring blob growth"
+        )
+    if metrics["resident_vs_mmap"] < RESIDENT_VS_MMAP_FLOOR:
+        raise AssertionError(
+            f"materializing {large} models cost only "
+            f"{metrics['resident_vs_mmap']}x the mmap working set "
+            f"(< {RESIDENT_VS_MMAP_FLOOR}x)"
+        )
+    return metrics
 
 
 @register_bench(
@@ -215,4 +430,85 @@ def bench_hnsw(mode: str) -> Dict[str, float]:
         "indexed_vectors": float(n),
         "build_seconds": round(build, 3),
         "query_us": round(query_seconds / num_queries * 1e6, 1),
+    }
+
+
+#: Repository root: ``lint.dataflow`` sweeps its ``src`` tree.
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__))
+)))
+
+#: A cold dataflow sweep of ``src`` must finish under this many seconds.
+DATAFLOW_BUDGET_SECONDS = 4.0
+
+#: The file the one-edit sweep touches: inside the analysis subsystem,
+#: so its reverse-import closure is a nonempty strict subset of ``src``.
+_DATAFLOW_EDIT_TARGET = "src/repro/analysis/pragmas.py"
+
+
+@register_bench(
+    "lint.dataflow",
+    description="cold, warm and one-edit dataflow lint sweeps over src",
+    tolerances={"cold_seconds": WALL_CLOCK_TOLERANCE,
+                "warm_seconds": WALL_CLOCK_TOLERANCE,
+                "incremental_seconds": WALL_CLOCK_TOLERANCE},
+)
+def bench_lint_dataflow(mode: str) -> Dict[str, float]:
+    """Both modes run the same sweep; ``mode`` only keys the trajectory."""
+    from repro.analysis import collect_sources
+    from repro.analysis.cache import LintCache, content_digest
+    from repro.analysis.dataflow import analyze_dataflow
+    from repro.analysis.graph import build_project, load_contract, module_name_for
+
+    sources = collect_sources(_REPO_ROOT, ["src"])
+    contract = load_contract(os.path.join(_REPO_ROOT, ".repro-arch.toml"))
+    edited = dict(sources)
+    new_source = edited[_DATAFLOW_EDIT_TARGET][0] + "\n# bench edit\n"
+    edited[_DATAFLOW_EDIT_TARGET] = (new_source, content_digest(new_source))
+    reports, seconds = [], []
+    with tempfile.TemporaryDirectory(prefix="bench-dataflow-") as scratch:
+        cache_path = os.path.join(scratch, "dataflow-cache.json")
+        for files in (sources, sources, edited):
+            project = build_project(files, contract)
+            cache = LintCache(cache_path)
+            start = time.perf_counter()
+            reports.append(analyze_dataflow(files, project, cache))
+            seconds.append(time.perf_counter() - start)
+            cache.save()
+    cold, warm, incremental = reports
+    source_roots = contract.source_roots if contract is not None else ("src",)
+    closure = project.imports.reverse_closure(
+        module_name_for(_DATAFLOW_EDIT_TARGET, source_roots)
+    )
+
+    if seconds[0] >= DATAFLOW_BUDGET_SECONDS:
+        raise AssertionError(
+            f"cold src dataflow sweep took {seconds[0]:.3f}s "
+            f">= budget {DATAFLOW_BUDGET_SECONDS}s"
+        )
+    if cold.files_reanalyzed != cold.modules:
+        raise AssertionError("the cold sweep did not analyze every module")
+    if warm.files_reanalyzed != 0 or warm.findings != cold.findings:
+        raise AssertionError(
+            f"the warm rerun re-analyzed {warm.files_reanalyzed} modules or "
+            "changed the findings; an unchanged tree must replay from cache"
+        )
+    if not 0 < len(closure) < cold.modules:
+        raise AssertionError(
+            f"{_DATAFLOW_EDIT_TARGET}'s reverse-import closure is not a "
+            "nonempty strict subset of the tree; edit another file"
+        )
+    if incremental.files_reanalyzed != len(closure):
+        raise AssertionError(
+            f"a one-file edit re-analyzed {incremental.files_reanalyzed} "
+            f"modules, not the file plus its reverse-import closure "
+            f"({len(closure)})"
+        )
+    return {
+        "modules": float(cold.modules),
+        "functions": float(cold.functions_analyzed),
+        "cold_seconds": round(seconds[0], 3),
+        "warm_seconds": round(seconds[1], 3),
+        "incremental_seconds": round(seconds[2], 3),
+        "reanalyzed_after_edit": float(incremental.files_reanalyzed),
     }

@@ -333,6 +333,27 @@ class TestBenchCLI:
         assert "perf regression in: fake" in captured.err
         assert "regressed" in captured.out
 
+    def test_broken_guarantee_fails_without_recording(
+        self, fake_suite, monkeypatch, tmp_path, capsys
+    ):
+        import repro.perf as perf
+        from repro.obs.timeseries import load_trajectory
+
+        def broken(mode):
+            raise AssertionError("parallel lake differs")
+
+        specs = perf.registered_benches() + [
+            perf.BenchSpec(name="broken", fn=broken)
+        ]
+        monkeypatch.setattr(perf, "registered_benches", lambda: specs)
+        results = str(tmp_path)
+        assert main(["bench", "--smoke", "--results", results]) == 1
+        err = capsys.readouterr().err
+        assert "error: broken: parallel lake differs" in err
+        assert "broken guarantee in: broken" in err
+        assert load_trajectory(results, "broken") == []
+        assert len(load_trajectory(results, "fake")) == 1  # the rest still ran
+
     def test_check_json_payload(self, fake_suite, tmp_path, capsys):
         results = str(tmp_path)
         assert main(["bench", "--smoke", "--results", results]) == 0
