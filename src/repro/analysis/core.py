@@ -42,7 +42,6 @@ class Finding:
     col: int
     rule: str
     message: str
-    severity: str = "error"  # "error" | "warning"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -51,7 +50,6 @@ class Finding:
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
-            "severity": self.severity,
         }
 
     @classmethod
@@ -62,7 +60,6 @@ class Finding:
             col=int(payload["col"]),  # type: ignore[arg-type]
             rule=str(payload["rule"]),
             message=str(payload["message"]),
-            severity=str(payload.get("severity", "error")),
         )
 
     def location(self) -> str:
@@ -140,7 +137,7 @@ class Rule:
     """Base class for one invariant check.
 
     Subclasses set ``name`` (kebab-case, the id used in pragmas and the
-    baseline), ``description``, ``severity``, and bump ``version``
+    baseline) and ``description``, and bump ``version``
     whenever their behavior changes so cached findings invalidate.
     ``baseline_exempt`` rules cannot be suppressed by the baseline
     ledger — their findings always surface (reserved for invariants
@@ -150,7 +147,6 @@ class Rule:
 
     name: str = ""
     description: str = ""
-    severity: str = "error"
     version: int = 1
     baseline_exempt: bool = False
     #: Minimal sources for ``repro lint --explain``: one that fires the
@@ -165,20 +161,13 @@ class Rule:
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        message: str,
-        severity: Optional[str] = None,
-    ) -> Finding:
+    def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
         return Finding(
             path=ctx.rel_path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             rule=self.name,
             message=message,
-            severity=severity or self.severity,
         )
 
 
@@ -220,7 +209,7 @@ def rules_fingerprint() -> str:
     """Digest of the active rule set; keys the findings cache."""
     _ensure_loaded()
     payload = [
-        (rule.name, rule.version, rule.severity, rule.baseline_exempt)
+        (rule.name, rule.version, rule.baseline_exempt)
         for rule in all_rules()
     ]
     return stable_hash(payload)

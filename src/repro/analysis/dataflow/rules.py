@@ -52,7 +52,6 @@ class DataflowRule:
 
     name: str = ""
     description: str = ""
-    severity: str = "error"
     version: int = 1
     #: Minimal sources for ``repro lint --explain``: one that fires, one
     #: that stays silent.
@@ -71,7 +70,6 @@ class DataflowRule:
             col=col,
             rule=self.name,
             message=message,
-            severity=self.severity,
         )
 
 
@@ -98,10 +96,7 @@ def dataflow_rule_names() -> List[str]:
 
 def dataflow_rules_fingerprint() -> str:
     return stable_hash(
-        [
-            (rule.name, rule.version, rule.severity)
-            for rule in all_dataflow_rules()
-        ]
+        [(rule.name, rule.version) for rule in all_dataflow_rules()]
     )
 
 
@@ -117,7 +112,6 @@ class BlockingCallInAsync(DataflowRule):
         "stalls the event loop. Route it through asyncio.to_thread or "
         "run_in_executor."
     )
-    severity = "error"
     example_positive = (
         "import time\n"
         "async def poll():\n"
@@ -185,7 +179,6 @@ class ImpureDigestFlow(DataflowRule):
         "otherwise-identical runs. The finding carries the def-use chain "
         "from source to sink."
     )
-    severity = "error"
     example_positive = (
         "import time\n"
         "from repro.utils.hashing import stable_hash\n"

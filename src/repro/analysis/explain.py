@@ -1,7 +1,7 @@
 """``repro lint --explain [RULE]``: what a rule means and how it looks.
 
 Pulls one rule from whichever registry owns it — per-file, graph, or
-dataflow — and renders its description, severity, scope, and a
+dataflow — and renders its description, scope, and a
 minimal positive/negative example pair.  The examples are real sources
 (the explain tests execute the per-file ones through
 :func:`lint_source` and the pack ones through their engines), so the
@@ -24,7 +24,6 @@ __all__ = ["explain_rule", "explain_index", "explainable_rules", "rule_record"]
 _SYNTAX_ERROR = {
     "name": "syntax-error",
     "kind": "per-file",
-    "severity": "error",
     "description": (
         "the file does not parse; every other rule is skipped for it so "
         "one broken file cannot hide the rest of the sweep"
@@ -43,7 +42,6 @@ def rule_record(name: str) -> Optional[dict]:
             return {
                 "name": rule.name,
                 "kind": "per-file",
-                "severity": rule.severity,
                 "description": rule.description,
                 "example_positive": rule.example_positive,
                 "example_negative": rule.example_negative,
@@ -53,7 +51,6 @@ def rule_record(name: str) -> Optional[dict]:
             return {
                 "name": rule.name,
                 "kind": f"graph ({rule.scope} scope)",
-                "severity": rule.severity,
                 "description": rule.description,
                 "example_positive": rule.example_positive,
                 "example_negative": rule.example_negative,
@@ -63,7 +60,6 @@ def rule_record(name: str) -> Optional[dict]:
             return {
                 "name": rule.name,
                 "kind": "dataflow",
-                "severity": rule.severity,
                 "description": rule.description,
                 "example_positive": rule.example_positive,
                 "example_negative": rule.example_negative,
@@ -120,7 +116,7 @@ def explain_rule(name: str) -> Optional[str]:
     if record is None:
         return None
     lines = [
-        f"{record['name']}  [{record['kind']}, severity: {record['severity']}]",
+        f"{record['name']}  [{record['kind']}]",
         "",
         str(record["description"]),
     ]

@@ -38,7 +38,6 @@ class GraphRule:
 
     name: str = ""
     description: str = ""
-    severity: str = "error"
     version: int = 1
     scope: str = "module"  # "module" | "project"
     #: Minimal sources for ``repro lint --explain``.
@@ -63,7 +62,6 @@ class GraphRule:
             col=0,
             rule=self.name,
             message=message,
-            severity=self.severity,
         )
 
 
@@ -92,7 +90,7 @@ def graph_rules_fingerprint() -> str:
     from repro.utils.hashing import stable_hash
 
     payload = [
-        (rule.name, rule.version, rule.severity, rule.scope)
+        (rule.name, rule.version, rule.scope)
         for rule in all_graph_rules()
     ]
     return stable_hash(payload)

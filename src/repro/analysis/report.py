@@ -22,8 +22,7 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
     lines: List[str] = []
     for finding in result.findings:
         lines.append(
-            f"{finding.location()}: [{finding.rule}] "
-            f"{finding.severity}: {finding.message}"
+            f"{finding.location()}: [{finding.rule}] {finding.message}"
         )
     for entry in result.unused_baseline:
         lines.append(
@@ -43,7 +42,7 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
             )
     lines.append(
         f"{result.files_scanned} files, "
-        f"{len(result.errors)} errors, {len(result.warnings)} warnings, "
+        f"{len(result.findings)} errors, "
         f"{len(result.baseline_suppressed)} baselined, "
         f"{len(result.unused_baseline)} stale baseline entries "
         f"(cache {result.cache_hits} hits / {result.cache_misses} misses, "
@@ -92,8 +91,7 @@ def render_json(result: LintResult) -> str:
         ],
         "summary": {
             "files_scanned": result.files_scanned,
-            "errors": len(result.errors),
-            "warnings": len(result.warnings),
+            "errors": len(result.findings),
             "baseline_suppressed": len(result.baseline_suppressed),
             "unused_baseline": len(result.unused_baseline),
             "todo_baseline": len(result.todo_baseline),

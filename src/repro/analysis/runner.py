@@ -205,24 +205,14 @@ class LintResult:
     #: the ``--baseline-update`` placeholder — tracked debt, unjustified.
     todo_baseline: List[BaselineEntry] = field(default_factory=list)
 
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == "error"]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == "warning"]
-
     def exit_code(self, strict: bool = False) -> int:
-        """0 clean; 1 violations.  Strict fails on warnings, stale
-        baseline entries, and TODO-placeholder baseline reasons too, so
-        CI catches new findings, fixed-but-still-listed ones, and
-        suppressions nobody has justified yet."""
-        if self.errors:
+        """0 clean; 1 when any finding survives.  Strict also fails on
+        stale baseline entries and TODO-placeholder baseline reasons, so
+        CI catches fixed-but-still-listed suppressions and ones nobody
+        has justified yet."""
+        if self.findings:
             return 1
-        if strict and (
-            self.findings or self.unused_baseline or self.todo_baseline
-        ):
+        if strict and (self.unused_baseline or self.todo_baseline):
             return 1
         return 0
 

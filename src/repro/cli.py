@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--strict", action="store_true",
-        help="fail on warnings and stale baseline entries, not just errors",
+        help="also fail on stale or TODO-placeholder baseline entries",
     )
     lint.add_argument("--json", action="store_true",
                       help="emit the stable machine-readable report")

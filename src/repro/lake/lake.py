@@ -284,17 +284,6 @@ class ModelLake:
     def clock(self) -> int:
         return self._clock
 
-    def close(self) -> None:
-        """Release the weight store's open file handles.
-
-        A lake loaded with ``materialize=False`` keeps one memmap per
-        touched weight blob; long-lived holders (the serve layer's
-        snapshots, hot-swap reloads) call this to return fd usage to
-        zero deterministically instead of waiting on garbage collection.
-        The lake stays usable — subsequent reads reopen and re-verify.
-        """
-        self._weights.close()
-
     def snapshot_digest(self) -> str:
         """Digest of the lake's current registration state.
 

@@ -9,11 +9,13 @@ as raw weight bundles (``.rwb``), optionally sharded by digest prefix
 Reads from disk are *lazy*: a blob is stream-verified against the
 digest that names it (O(chunk) memory), then opened with ``np.memmap``
 so array bytes are paged in on access and never copied into the store.
-That keeps resident memory flat no matter how many models a lake holds
-— the property the ``shard.rss`` bench of ``repro bench`` gates on.  A store opened
-over a persisted lake (``write_through=False``) is a pure read layer:
-``put`` keeps new blobs in memory only, so rehydrating models never
-mutates the on-disk lake.
+The store keeps no mapping: each read maps the blob afresh, and the
+mapping (with its fd) goes away when the caller drops the arrays.  That
+keeps resident memory and the fd table flat no matter how many models a
+lake holds — the property the ``shard.rss`` bench of ``repro bench``
+gates on.  A store opened over a persisted lake
+(``write_through=False``) is a pure read layer: ``put`` keeps new blobs
+in memory only, so rehydrating models never mutates the on-disk lake.
 """
 
 from __future__ import annotations
@@ -61,15 +63,9 @@ class WeightStore:
         # session; only *successes* are memoized, so a corrupted file
         # keeps failing until its bytes are actually repaired.
         self._verified: Set[str] = set()
-        # One memmap per digest for the life of the store (or until
-        # ``close``).  Without the memo every get() re-opened the blob
-        # file, and each ``np.memmap`` holds a dup'ed fd until the array
-        # is garbage-collected — a long-lived serving process doing one
-        # open per request grows its fd table without bound.
-        self._mapped: Dict[str, Dict[str, np.ndarray]] = {}
-        # Serializes disk verification and memmap opening so concurrent
-        # first-touch of the same digest can't double-open the file.
-        self._lock = threading.RLock()
+        # Guards ``_verified``, so concurrent first reads of one digest
+        # stream-verify it once.
+        self._lock = threading.Lock()
         if directory is not None and write_through:
             os.makedirs(directory, exist_ok=True)
         # Pre-register the cache counters so a metrics snapshot always
@@ -116,52 +112,21 @@ class WeightStore:
 
         Memory blobs decode in place; disk blobs are stream-verified
         (once per session) and then opened as memmap-backed arrays, so
-        a get() never materializes a full weight file.  A truncated or
-        bit-rotted blob raises :class:`~repro.errors.LakeIntegrityError`
-        (naming the path and the expected digest) instead of a cryptic
-        parse failure.  Returned arrays are read-only views — callers
+        a get() never materializes a full weight file.  The store keeps
+        no reference to the mapping: it lives exactly as long as the
+        caller holds the arrays.  A truncated or bit-rotted blob raises
+        :class:`~repro.errors.LakeIntegrityError` (naming the path and
+        the expected digest) instead of a cryptic parse failure.  Returned arrays are read-only views — callers
         that mutate must copy, as ``Module.load_state_dict`` does.
         """
         blob = self._blobs.get(digest)
         if blob is not None:
             obs_metrics.inc(WEIGHT_STORE_CACHE_HITS)
             return unpack_arrays(blob)
-        with self._lock:
-            mapped = self._mapped.get(digest)
-            if mapped is not None:
-                obs_metrics.inc(WEIGHT_STORE_CACHE_HITS)
-                return dict(mapped)
-            obs_metrics.inc(WEIGHT_STORE_CACHE_MISSES)
-            if self._on_disk(digest):
-                path = self._verify_disk(digest)
-                mapped = open_arrays_memmap(path)
-                self._mapped[digest] = mapped
-                # Shallow copy: callers own their dict (and may pop from
-                # it) but share the single memmap per blob file.
-                return dict(mapped)
+        obs_metrics.inc(WEIGHT_STORE_CACHE_MISSES)
+        if self._on_disk(digest):
+            return open_arrays_memmap(self._verify_disk(digest))
         raise LakeError(f"weights not found for digest {digest!r}")
-
-    def close(self) -> None:
-        """Release memoized memmap handles and verification memos.
-
-        Dropping the store's references lets CPython reclaim each
-        ``np.memmap`` (closing its dup'ed fd) as soon as no caller holds
-        a view — arrays still referenced elsewhere keep their mapping
-        valid, so closing under outstanding readers is safe: they finish
-        against the old snapshot while new opens see fresh bytes.  The
-        verification memo is cleared too, so a reopened blob is
-        re-checked against its digest.  The store remains usable; the
-        next get() simply reopens.
-        """
-        with self._lock:
-            self._mapped.clear()
-            self._verified.clear()
-
-    @property
-    def open_handles(self) -> int:
-        """Number of memoized memmap handles currently held."""
-        with self._lock:
-            return len(self._mapped)
 
     def blob(self, digest: str) -> bytes:
         """Raw serialized bytes for ``digest`` (verified on disk reads).

@@ -34,9 +34,13 @@ from repro.perf import register_bench
 #: but far below the 2x slips the gate exists to catch.
 WALL_CLOCK_TOLERANCE = 1.75
 
-# Sized so every gated wall-clock metric lands well above the
-# regression gate's absolute noise floors (~0.05s / 100us): a tinier
-# lake measures scheduler jitter, not the code.
+# The regression gate ignores wall-clock metrics below its absolute
+# noise floors (~0.05s / 100us).  These lakes no longer clear them for
+# every metric: `search`'s cold_build_seconds and warm_build_seconds
+# and `shard`'s fsck_seconds, lazy_load_seconds and sharded_save_seconds
+# read 0.002-0.03 s in smoke mode, so `--check` cannot flag them at any
+# ratio; in full mode only sharded_save_seconds (~0.06 s) clears the
+# floor.  Resizing them is ROADMAP item 4's job, not a tweak here.
 _SMOKE_SPEC = dict(
     num_foundations=2, chains_per_foundation=3, max_chain_depth=1,
     docs_per_domain=12, eval_docs_per_domain=5,

@@ -5,7 +5,7 @@ audit — are all *query* workloads, but a CLI one-shot pays full engine
 construction per query and never exercises the lake under concurrency.
 This package turns one lake snapshot into a small HTTP/JSON service:
 
-* :class:`~repro.serve.snapshot.LakeSnapshot` — an explicitly closeable
+* :class:`~repro.serve.snapshot.LakeSnapshot` — a read-only
   (lake, engine) pair opened through the memmap read path and the warm
   embedding cache;
 * :class:`~repro.serve.batching.MicroBatcher` — dispatches a query at

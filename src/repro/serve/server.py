@@ -16,8 +16,8 @@ Endpoints (all JSON):
 
 Shutdown is graceful: the listener closes first, requests already in
 flight run to completion, the batcher drains its tail, and only then
-does the snapshot release its memmap handles.  New requests racing the
-drain get ``503`` with ``Retry-After``, never a connection reset.
+is the snapshot marked closed.  New requests racing the drain get
+``503`` with ``Retry-After``, never a connection reset.
 
 Tracing: the span stack is context-local, so each request's
 ``serve.request.<endpoint>`` span nests under the CLI root in its own
@@ -267,7 +267,7 @@ class LakeServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain, then release."""
+        """Graceful shutdown: stop accepting, drain, then close the snapshot."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -501,7 +501,6 @@ class LakeServer:
             "directory": self.snapshot.directory,
             "models": len(self.snapshot.lake),
             "uptime_seconds": time.time() - self._started_at,
-            "open_weight_handles": self.snapshot.open_handles,
             "batching": {
                 "max_batch": self.config.max_batch,
                 "workers": self.config.workers,

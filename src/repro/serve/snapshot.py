@@ -1,12 +1,4 @@
-"""Read-only lake snapshots with explicit handle ownership.
-
-A serving process holds a lake open for hours, not milliseconds, which
-changes who owns the file handles: ``load_lake(materialize=False)``
-memmaps weight blobs on demand, and without an owner those maps live
-until garbage collection gets around to them.  :class:`LakeSnapshot`
-makes the ownership explicit — the snapshot owns every handle its
-engine's warm-up opened, and ``close()`` releases them
-deterministically.
+"""Read-only lake snapshots for a long-lived serving process.
 
 A warm open reads only derived files under ``<dir>/cache``: the record
 table (ids, weight digests and card texts, so no record is built until
@@ -17,12 +9,12 @@ open.  The weight-statistics matrix is read (or built and written) only
 when a ``related_models(view="weight")`` call first needs it; nothing
 the server answers does.
 
-Hot swap works by *replacing*, never mutating: ``reload()`` builds a
-completely fresh snapshot from disk (new lake, new engine, new memmaps)
-and the server swaps its reference, then closes the old snapshot.
-Requests that raced the swap finish against the old snapshot's arrays —
-an ``np.memmap`` stays valid while any view references it, so closing
-under stragglers is safe — and every later request sees the new one.
+A snapshot holds no OS resource: weight blobs are mapped per read and
+the mapping goes away with the caller's arrays (``get_model`` copies
+them into modules), so nothing stays open between requests.  Hot swap
+is therefore "open a new snapshot, publish it": requests that raced the
+swap finish against the old snapshot's objects, which are reclaimed
+when the last of them lets go.
 """
 
 from __future__ import annotations
@@ -41,9 +33,8 @@ _log = get_logger("serve.snapshot")
 class LakeSnapshot:
     """One immutable view of a persisted lake, plus its search engine.
 
-    Build with :meth:`open`; release with :meth:`close` (or use as a
-    context manager).  The engine is constructed eagerly so the first
-    request never pays index warm-up, and the caches under
+    Build with :meth:`open`.  The engine is constructed eagerly so the
+    first request never pays index warm-up, and the caches under
     ``<dir>/cache`` make that warm-up skip manifest decoding, card
     tokenizing and model rehydration when they are current.
     """
@@ -82,25 +73,16 @@ class LakeSnapshot:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def open_handles(self) -> int:
-        """Memmap handles currently held by the snapshot's weight store."""
-        return self._lake.weights.open_handles
-
-    def reload(self) -> "LakeSnapshot":
-        """A fresh snapshot of the same directory (hot-swap source).
-
-        The caller owns both snapshots during the swap: publish the new
-        one first, then ``close()`` this one.
-        """
-        return LakeSnapshot.open(self._directory)
-
     def close(self) -> None:
-        """Release every file handle the snapshot holds.  Idempotent."""
+        """Mark the snapshot closed.  Idempotent.
+
+        Releases no OS resource — the snapshot holds none — and the
+        lake and engine stay readable; it marks the end of the
+        snapshot's service (the server calls it after its drain).
+        """
         if self._closed:
             return
         self._closed = True
-        self._lake.close()
         _log.info("snapshot.closed", directory=self._directory)
 
     def __enter__(self) -> "LakeSnapshot":

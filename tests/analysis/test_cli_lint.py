@@ -6,7 +6,6 @@ import textwrap
 
 import pytest
 
-from repro.analysis import get_rule
 from repro.cli import main
 
 
@@ -64,15 +63,6 @@ def test_lint_writes_and_reuses_cache(tree, capsys):
     assert (root / ".repro-lint-cache.json").exists()
     assert main(["lint", "--root", str(root), "src"]) == 0
     assert "cache 1 hits / 0 misses" in capsys.readouterr().out
-
-
-def test_lint_strict_fails_on_warning(tree, monkeypatch):
-    monkeypatch.setattr(get_rule("unseeded-random"), "severity", "warning")
-    root = tree({"src/repro/lake/mod.py": DRAWING})
-    assert main(["lint", "--root", str(root), "--no-cache", "src"]) == 0
-    assert main(
-        ["lint", "--root", str(root), "--no-cache", "--strict", "src"]
-    ) == 1
 
 
 def test_lint_on_this_repository_is_clean():

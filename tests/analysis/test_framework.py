@@ -8,9 +8,7 @@ import pytest
 from repro.analysis import (
     Baseline,
     BaselineEntry,
-    Finding,
     LintConfig,
-    LintResult,
     lint_source,
     load_baseline,
     render_json,
@@ -244,16 +242,6 @@ def test_error_finding_fails_even_non_strict(tmp_path):
     root = make_tree(tmp_path, {"src/repro/lake/example.py": _DRAWING})
     result = run_lint(LintConfig(paths=["src"], root=str(root), use_cache=False))
     assert result.exit_code(strict=False) == 1
-
-
-def test_warning_finding_fails_only_strict():
-    warning = Finding(
-        path="src/repro/lake/example.py", line=1, col=0,
-        rule="unseeded-random", message="m", severity="warning",
-    )
-    result = LintResult(findings=[warning])
-    assert result.exit_code(strict=False) == 0
-    assert result.exit_code(strict=True) == 1
 
 
 def test_json_report_is_stable_across_runs(tmp_path):

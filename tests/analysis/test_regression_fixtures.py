@@ -109,6 +109,6 @@ def test_regression_caught_through_full_runner(tmp_path):
         LintConfig(paths=["src"], root=str(tmp_path), use_cache=False)
     )
     assert result.exit_code(strict=True) == 1
-    assert {f.rule for f in result.errors} >= {
+    assert {f.rule for f in result.findings} >= {
         "time-in-digest", "unordered-digest-iteration",
     }

@@ -264,4 +264,3 @@ def test_raw_artifact_write_ignores_read_and_dynamic_modes():
 def test_syntax_error_becomes_finding():
     findings = lint_source("def broken(:\n", LIB)
     assert [f.rule for f in findings] == ["syntax-error"]
-    assert findings[0].severity == "error"

@@ -1,8 +1,41 @@
-"""Tests for LakeSnapshot handle ownership and hot-swap semantics."""
+"""Tests for LakeSnapshot: lifecycle, and weight reads that hold no fd."""
 
+import gc
+import os
+import shutil
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
+from repro.data.domains import DOMAIN_NAMES
+from repro.data.vocab import build_default_vocabulary
+from repro.lake import ModelLake, save_lake
+from repro.nn.models import build_model
 from repro.serve import LakeSnapshot
+
+_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
+
+#: Models in the cold-open lake; more than the probe's soft fd limit.
+_COLD_MODELS = 200
+_FD_LIMIT = 128
+
+_COLD_OPEN_PROBE = """
+import resource
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, ({limit}, hard))
+from repro.serve.snapshot import LakeSnapshot
+with LakeSnapshot.open({directory!r}) as snapshot:
+    print(len(snapshot.lake))
+"""
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
 class TestSnapshotLifecycle:
@@ -14,13 +47,16 @@ class TestSnapshotLifecycle:
             assert not snapshot.closed
 
     def test_close_releases_every_weight_handle(self, serve_lake_dir):
+        """No weight read leaves an fd behind for close() to release."""
+        gc.collect()  # earlier tests' unreachable files close here
+        baseline = _open_fds()
         snapshot = LakeSnapshot.open(serve_lake_dir)
-        # Force a weight read so the store memoizes at least one memmap.
         record = next(iter(snapshot.lake))
-        snapshot.lake.weights.get(record.weights_digest)
-        assert snapshot.open_handles >= 1
+        arrays = snapshot.lake.weights.get(record.weights_digest)
+        assert all(np.isfinite(a).all() for a in arrays.values())
+        del arrays
         snapshot.close()
-        assert snapshot.open_handles == 0
+        assert _open_fds() <= baseline
         assert snapshot.closed
 
     def test_close_is_idempotent(self, serve_lake_dir):
@@ -28,36 +64,6 @@ class TestSnapshotLifecycle:
         snapshot.close()
         snapshot.close()
         assert snapshot.closed
-
-    def test_handles_do_not_grow_per_read(self, serve_lake_dir):
-        """Repeated reads of one model reuse the memoized memmap."""
-        snapshot = LakeSnapshot.open(serve_lake_dir)
-        try:
-            record = next(iter(snapshot.lake))
-            snapshot.lake.weights.get(record.weights_digest)
-            base = snapshot.open_handles
-            for _ in range(5):
-                snapshot.lake.weights.get(record.weights_digest)
-            assert snapshot.open_handles == base
-        finally:
-            snapshot.close()
-
-    def test_reload_returns_fresh_snapshot(self, serve_lake_dir):
-        old = LakeSnapshot.open(serve_lake_dir)
-        new = old.reload()
-        try:
-            assert new is not old
-            assert new.directory == old.directory
-            query = "legal court statute"
-            before = [h.model_id for h in old.engine.search(query, k=3)]
-            # Hot-swap order: publish the new snapshot, then close the
-            # old one; the new one must be unaffected.
-            old.close()
-            after = [h.model_id for h in new.engine.search(query, k=3)]
-            assert after == before
-        finally:
-            new.close()
-            old.close()
 
     def test_stragglers_survive_close(self, serve_lake_dir):
         """Arrays handed out before close() stay readable after it."""
@@ -68,3 +74,50 @@ class TestSnapshotLifecycle:
         for array in arrays.values():
             assert array.shape is not None
             float(array.ravel()[0])  # actually touch the mapping
+
+    def test_handles_do_not_grow_per_read(self, serve_lake_dir):
+        """Every disk read's mapping goes away with its arrays."""
+        gc.collect()  # earlier tests' unreachable files close here
+        baseline = _open_fds()
+        snapshot = LakeSnapshot.open(serve_lake_dir)
+        digests = [record.weights_digest for record in snapshot.lake]
+        for digest in digests * 2:
+            arrays = snapshot.lake.weights.get(digest)
+            assert all(np.isfinite(a).all() for a in arrays.values())
+        del arrays
+        assert _open_fds() <= baseline
+        assert not snapshot.closed
+
+
+class TestScopedWeightReads:
+    def test_cold_open_needs_no_fd_per_model(self, tmp_path):
+        """A cold open of more models than the soft fd limit succeeds."""
+        pytest.importorskip("resource")
+        rng = np.random.default_rng(0)
+        template = build_model({
+            "family": "text_classifier",
+            "vocab_size": len(build_default_vocabulary()),
+            "num_classes": len(DOMAIN_NAMES), "dim": 8, "hidden": [8],
+        })
+        base = template.state_dict()
+        lake = ModelLake()
+        for i in range(_COLD_MODELS):
+            template.load_state_dict({
+                key: value + rng.normal(scale=0.05, size=value.shape)
+                for key, value in base.items()
+            })
+            lake.add_model(template, name=f"fd-{i:03d}")
+        directory = str(tmp_path / "lake")
+        save_lake(lake, directory, sharded=True)
+        shutil.rmtree(os.path.join(directory, "cache"), ignore_errors=True)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [_SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             _COLD_OPEN_PROBE.format(limit=_FD_LIMIT, directory=directory)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.split() == [str(_COLD_MODELS)]
