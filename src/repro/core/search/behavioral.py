@@ -103,24 +103,36 @@ def embedding_index(
 ) -> FlatIndex:
     """One exact index over every lake model's embedding.
 
-    Vectors are read from ``cache`` by weight digest; a miss loads and
-    embeds the model and stores the result.  The index is the same on
-    any on-disk layout: sharding is a storage concern, not a search one.
+    Vectors are read from ``cache`` by weight digest in one lookup of
+    the whole digest list (:meth:`EmbeddingCache.get`); each miss loads
+    and embeds the model and stores the result, once per distinct
+    digest.  The index is the same on any on-disk layout: sharding is a
+    storage concern, not a search one.
     """
     space = embedder.space_key
     model_ids = lake.model_ids()
+    digests = lake.weight_digests()
+    found = cache.get(space, digests) if cache is not None else None
+    matrix, missed = found if found is not None else (None, range(len(digests)))
+    embedded: Dict[str, np.ndarray] = {}
     vectors: List[np.ndarray] = []
-    for model_id, digest in zip(model_ids, lake.weight_digests()):
-        vector = cache.get(space, digest) if cache is not None else None
+    for position in missed:
+        digest = digests[position]
+        vector = embedded.get(digest)
         if vector is None:
-            model = lake.get_model(model_id, force=True)
-            vector = embedder.embed(model)
+            vector = embedder.embed(lake.get_model(model_ids[position], force=True))
             if cache is not None:
                 cache.put(space, digest, vector)
+                embedded[digest] = vector
         vectors.append(vector)
-    index = FlatIndex()
     if vectors:
-        index.build(list(model_ids), np.stack(vectors))
+        if matrix is None:
+            matrix = np.stack(vectors)
+        else:
+            matrix[missed] = vectors
+    index = FlatIndex()
+    if matrix is not None:
+        index.build(model_ids, matrix)
     return index
 
 

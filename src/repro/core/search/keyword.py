@@ -14,11 +14,16 @@ order, so scores are bit-identical to a per-posting dict scorer.
 
 The table depends only on the corpus and ``(k1, b)``, so a lake keeps it
 in its cache directory as ``bm25.npz`` (:meth:`BM25Index.cached`),
-stamped with a digest of the card corpus, the parameters and the table
-format.  A warm open whose digest matches loads the arrays instead of
-re-tokenizing every card; any other file is rebuilt and overwritten.
-Loaded and built tables are installed by the same step and are
-bit-identical, so a loaded index ranks exactly as a fresh build.
+stamped with a digest of the corpus, the parameters and the table
+format.  The digest is taken over the corpus *packed*: the ids and the
+texts each as one UTF-8 blob plus int64 offsets, the layout in which a
+warm lake's record table already holds them
+(:meth:`~repro.lake.lake.ModelLake.packed_column`).  So a warm open
+whose digest matches loads the arrays without decoding, let alone
+re-tokenizing, a single card; the card texts are decoded only to build.
+Any other file is rebuilt and overwritten.  Loaded and built tables are
+installed by the same step and are bit-identical, so a loaded index
+ranks exactly as a fresh build.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 import os
 from collections import defaultdict
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,25 +50,31 @@ _log = get_logger("search.keyword")
 TABLE_FILE = "bm25.npz"
 #: Part of every corpus digest: bump it when the saved members or their
 #: meaning change, and every older file reads as a miss.
-_TABLE_VERSION = 1
+_TABLE_VERSION = 2
 #: The members of a table file, in the order ``_save`` writes them.
 _MEMBERS = ["digest", "vocab", "offsets", "docs", "weights", "avg_length"]
 
 
-def corpus_digest(docs: Sequence[Tuple[str, str]], k1: float, b: float) -> str:
-    """sha256 naming the table ``BM25Index(docs, k1, b)`` builds.
+#: A string column packed as a UTF-8 blob plus int64 offsets.
+Packed = Tuple[np.ndarray, np.ndarray]
 
-    Covers the table format, the parameters, and every id and text in
-    order; hashing each field's length makes the joined text parse one
-    way only.
+
+def corpus_digest(
+    ids: Packed, texts: Packed, k1: float = 1.5, b: float = 0.75
+) -> str:
+    """sha256 naming the table ``BM25Index(zip(ids, texts), k1, b)`` builds.
+
+    Covers the table format, the parameters, and the packed id and text
+    columns (:func:`~repro.lake.table.pack_strings`); hashing each
+    column's offsets as well as its blob makes the fields parse one way
+    only.
     """
-    fields = list(chain.from_iterable(docs))
     digest = hashlib.sha256(
-        f"bm25 v{_TABLE_VERSION} k1={k1!r} b={b!r} n={len(docs)}\n".encode()
+        f"bm25 v{_TABLE_VERSION} k1={k1!r} b={b!r} n={len(ids[1]) - 1}\n".encode()
     )
-    digest.update(np.fromiter(map(len, fields), dtype=np.int64,
-                              count=len(fields)).tobytes())
-    digest.update("".join(fields).encode("utf-8", "surrogatepass"))
+    for blob, offsets in (ids, texts):
+        digest.update(np.asarray(offsets, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(blob, dtype=np.uint8).data)
     return digest.hexdigest()
 
 
@@ -167,23 +178,26 @@ class BM25Index:
     @classmethod
     def cached(
         cls,
-        docs: Iterable[Tuple[str, str]],
+        ids: List[str],
+        digest: str,
+        texts: Callable[[], Iterable[str]],
         path: str,
         k1: float = 1.5,
         b: float = 0.75,
     ) -> "BM25Index":
-        """``BM25Index(docs, k1, b)``, loaded from ``path`` when it holds
-        that table, else built and written to ``path``.
+        """``BM25Index(zip(ids, texts()), k1, b)`` over distinct ``ids``,
+        loaded from ``path`` when it holds that table, else built and
+        written to ``path``.
 
-        A missing, foreign, stale or unreadable file is rebuilt and
-        overwritten atomically; if that write fails (a read-only lake,
-        say) the built index is returned all the same.
+        ``digest`` is the table's :func:`corpus_digest`; the texts
+        themselves are asked of ``texts()`` only to build.  A missing,
+        foreign, stale or unreadable file is rebuilt and overwritten
+        atomically; if that write fails (a read-only lake, say) the
+        built index is returned all the same.
         """
-        docs = list(docs)
-        digest = corpus_digest(docs, k1, b)
-        index = cls._load(path, digest, docs, k1, b)
+        index = cls._load(path, digest, ids, k1, b)
         if index is None:
-            index = cls(docs, k1, b)
+            index = cls(zip(ids, texts()), k1, b)
             try:
                 index._save(path, digest)
             except OSError as exc:
@@ -192,24 +206,20 @@ class BM25Index:
 
     @classmethod
     def _load(
-        cls,
-        path: str,
-        digest: str,
-        docs: List[Tuple[str, str]],
-        k1: float,
-        b: float,
+        cls, path: str, digest: str, ids: List[str], k1: float, b: float
     ) -> Optional["BM25Index"]:
-        """The table at ``path`` if it was saved under ``digest``, else None."""
+        """The table at ``path`` if it was saved under ``digest``, else None.
+
+        The digest covers every id in order, so ``ids`` (distinct) are
+        the ids a build of that corpus keeps.
+        """
         table = read_npz(path, _MEMBERS)
         if table is None or table["digest"].tolist() != digest:
             return None
         index = cls.__new__(cls)
         index._set_params(k1, b)
-        # The digest covers every id in order, so the ids are those a
-        # build from ``docs`` keeps: first-seen order, repeats merged.
         index._install(
-            list(dict.fromkeys(doc_id for doc_id, _ in docs)),
-            table["vocab"].tolist(), table["offsets"], table["docs"],
+            ids, table["vocab"].tolist(), table["offsets"], table["docs"],
             table["weights"], float(table["avg_length"]),
         )
         _log.debug("bm25.loaded", path=path, docs=len(index))
@@ -257,8 +267,14 @@ def build_card_index(lake: ModelLake, cache_dir: Optional[str] = None) -> BM25In
     With ``cache_dir`` the frozen table is kept in
     ``<cache_dir>/bm25.npz``: loaded when it was written for these
     cards, built and (re)written otherwise (:meth:`BM25Index.cached`).
+    The table's key is taken over the lake's packed id and text columns
+    (:meth:`~repro.lake.lake.ModelLake.packed_column`), so a warm load
+    decodes no card text.
     """
-    docs = list(zip(lake.model_ids(), lake.card_texts()))
     if cache_dir is None:
-        return BM25Index(docs)
-    return BM25Index.cached(docs, os.path.join(cache_dir, TABLE_FILE))
+        return BM25Index(zip(lake.model_ids(), lake.card_texts()))
+    digest = corpus_digest(lake.packed_column("ids"), lake.packed_column("texts"))
+    return BM25Index.cached(
+        lake.model_ids(), digest, lake.card_texts,
+        os.path.join(cache_dir, TABLE_FILE),
+    )

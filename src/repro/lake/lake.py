@@ -18,6 +18,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -43,6 +44,13 @@ from repro.utils.hashing import combine_digests, stable_hash
 if TYPE_CHECKING:
     from repro.lake.table import RecordTable
     from repro.nn.module import Module
+
+#: Column name -> how a record derives it; a record table stores the same.
+_COLUMNS: Dict[str, Callable[[ModelRecord], str]] = {
+    "ids": lambda record: record.model_id,
+    "digests": lambda record: record.weights_digest,
+    "texts": lambda record: record.card.text(),
+}
 
 # Resolved once at import (registry.reset() zeroes it in place): a lake
 # open registers every record, so a per-call lookup would scale with it.
@@ -159,12 +167,8 @@ class ModelLake:
         records = [self.get_record(model_id) for model_id in list(self._records)]
         return iter(sorted(records, key=lambda r: r.created_at))
 
-    def _column(
-        self, name: str, derive: Callable[[ModelRecord], str]
-    ) -> List[str]:
-        """``derive(record)`` for every record in iteration order, decoded
-        from the record table's column ``name`` while it still describes
-        this lake.
+    def _current_table(self) -> Optional["RecordTable"]:
+        """The record table while its columns still describe this lake.
 
         Every mutation moves the clock, and every added record changes
         the count; after either, the columns are no longer trusted.
@@ -172,20 +176,44 @@ class ModelLake:
         table = self._table
         if (table is not None and table.clock == self._clock
                 and len(table) == len(self._records)):
+            return table
+        return None
+
+    def _column(self, name: str) -> List[str]:
+        """Column ``name`` for every record in iteration order, decoded
+        from the current record table or derived from the records."""
+        table = self._current_table()
+        if table is not None:
             return table.column(name)
-        return [derive(record) for record in self]
+        return [_COLUMNS[name](record) for record in self]
 
     def model_ids(self) -> List[str]:
         """Every model id, in iteration (``created_at``) order."""
-        return self._column("ids", lambda record: record.model_id)
+        return self._column("ids")
 
     def weight_digests(self) -> List[str]:
         """Every record's weight digest, aligned with :meth:`model_ids`."""
-        return self._column("digests", lambda record: record.weights_digest)
+        return self._column("digests")
 
     def card_texts(self) -> List[str]:
         """Every record's :meth:`ModelCard.text`, aligned with :meth:`model_ids`."""
-        return self._column("texts", lambda record: record.card.text())
+        return self._column("texts")
+
+    def packed_column(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Column ``name`` (``ids``, ``digests`` or ``texts``) as a UTF-8
+        blob plus int64 offsets, aligned with :meth:`model_ids`.
+
+        A lake opened from a current record table hands out the table's
+        own members, decoding nothing; any other lake packs the column
+        from its records (:func:`repro.lake.table.pack_strings`), so
+        both give the same bytes for the same records.
+        """
+        table = self._current_table()
+        if table is not None:
+            return table.packed(name)
+        from repro.lake.table import pack_strings
+
+        return pack_strings(self._column(name))
 
     def get_record(self, model_id: str) -> ModelRecord:
         try:

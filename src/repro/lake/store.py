@@ -7,8 +7,9 @@ as raw weight bundles (``.rwb``), optionally sharded by digest prefix
 (:class:`~repro.lake.shard.ShardLayout`).
 
 Reads from disk are *lazy*: a blob is stream-verified against the
-digest that names it (O(chunk) memory), then opened with ``np.memmap``
-so array bytes are paged in on access and never copied into the store.
+digest that names it (O(chunk) memory), then memory-mapped
+(``open_arrays_memmap``) so array bytes are paged in on access and
+never copied into the store.
 The store keeps no mapping: each read maps the blob afresh, and the
 mapping (with its fd) goes away when the caller drops the arrays.  That
 keeps resident memory and the fd table flat no matter how many models a

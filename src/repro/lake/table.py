@@ -20,7 +20,9 @@ therefore keeps those columns in ``<lake>/cache/records.npz``:
 An open table stays packed: only ``ids`` is decoded up front, the
 ``digests`` and ``texts`` columns are decoded on each
 :meth:`RecordTable.column` call, and the entries stay compressed but
-for the one block last read.
+for the one block last read.  :meth:`RecordTable.packed` hands out a
+string column's blob and offsets as stored, which is all the BM25
+table's cache key needs (:mod:`repro.core.search.keyword`).
 
 The ``key`` member is the sha256 of the manifest bytes plus
 :data:`_TABLE_VERSION`, so any change to the manifest, or to the code
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 import threading
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,7 +146,7 @@ class RecordTable:
         self.datasets = datasets
         self.created = created
         self.ids = ids
-        #: ``digests`` and ``texts``: each its blob and offsets.
+        #: ``ids``, ``digests`` and ``texts``: each its blob and offsets.
         self._columns = columns
         self._entries = entries
         self._entry_offsets = entry_offsets
@@ -165,6 +167,10 @@ class RecordTable:
         if name == "ids":
             return list(self.ids)
         return _unpack(*self._columns[name])
+
+    def packed(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Column ``name`` as stored: its UTF-8 blob and int64 offsets."""
+        return self._columns[name]
 
     def record(self, row: int) -> ModelRecord:
         """The record of row ``row``, decoded on first use."""
@@ -200,6 +206,12 @@ def _pack(chunks: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(b"".join(chunks), dtype=np.uint8), _bounds(chunks)
 
 
+def pack_strings(values: Iterable[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """``values`` as a table stores a string column: a UTF-8 blob plus
+    their ``len(values) + 1`` int64 offsets into it."""
+    return _pack([value.encode("utf-8", "surrogatepass") for value in values])
+
+
 def _unpack(blob: np.ndarray, offsets: np.ndarray) -> List[str]:
     data = blob.tobytes()
     bounds = offsets.tolist()
@@ -220,10 +232,6 @@ def write_table(
 ) -> None:
     """Atomically write the table of ``entries`` (in ``created_at``
     order, with their card ``texts``) to ``path`` under ``key``."""
-
-    def encoded(values):
-        return [value.encode("utf-8", "surrogatepass") for value in values]
-
     members = {
         "key": np.array(key),
         "clock": np.array(clock, dtype=np.int64),
@@ -234,11 +242,11 @@ def write_table(
         ),
     }
     for name, values in (
-        ("ids", encoded(entry["model_id"] for entry in entries)),
-        ("digests", encoded(entry["weights_digest"] for entry in entries)),
-        ("texts", encoded(texts)),
+        ("ids", (entry["model_id"] for entry in entries)),
+        ("digests", (entry["weights_digest"] for entry in entries)),
+        ("texts", texts),
     ):
-        members[name], members[f"{name}_offsets"] = _pack(values)
+        members[name], members[f"{name}_offsets"] = pack_strings(values)
     raw = [json.dumps(entry, separators=(",", ":")).encode() for entry in entries]
     members["entries"], members["entry_blocks"] = _pack([
         zlib.compress(b"".join(raw[start:start + _BLOCK]))
@@ -268,7 +276,7 @@ def read_table(path: str, key: str) -> Optional[RecordTable]:
         ids=_unpack(arrays["ids"], arrays["ids_offsets"]),
         columns={
             name: (arrays[name], arrays[f"{name}_offsets"])
-            for name in ("digests", "texts")
+            for name in ("ids", "digests", "texts")
         },
         entries=arrays["entries"],
         entry_offsets=arrays["entries_offsets"],

@@ -9,8 +9,9 @@ runs.
 
 Each benchmark also checks the guarantee its fast path must keep (a
 parallel lake equals the sequential one, a sharded save equals a flat
-one, a fresh lake fscks clean, mmap reads stay out of core, the lint
-cache invalidates exactly) and raises ``AssertionError`` when it breaks.
+one, a fresh lake fscks clean, mmap reads stay out of core, a warm
+engine build keeps no embedding space in memory, the lint cache
+invalidates exactly) and raises ``AssertionError`` when it breaks.
 
 Wall-clock metrics get generous tolerances (shared CI hardware jitters
 by tens of percent); the regression gate is meant to catch the 2x
@@ -145,6 +146,13 @@ def bench_search(mode: str) -> Dict[str, float]:
         start = time.perf_counter()
         engine = SearchEngine(bundle.lake, probes, cache_dir=cache_dir)
         warm = time.perf_counter() - start
+        # A warm build gathers each space's matrix straight from its
+        # file; a space left in memory is a second copy of it.
+        if engine.cache.loaded_spaces:
+            raise AssertionError(
+                "warm engine build left embedding spaces loaded in the "
+                f"cache: {engine.cache.loaded_spaces}"
+            )
 
         def sweep():
             for query in queries:

@@ -12,7 +12,7 @@ formats live here:
   C-contiguous bytes at a 64-byte-aligned offset.  Because the on-disk
   bytes *are* the serialized bytes (no zip container), a file can be
   digest-verified by streaming it in chunks and every array can be
-  opened zero-copy with ``np.memmap`` — the two properties the
+  opened zero-copy from one ``mmap`` — the two properties the
   out-of-core weight store is built on.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import json
+import mmap
 import struct
 from typing import Any, Dict, Mapping, Tuple
 
@@ -128,13 +129,21 @@ def unpack_arrays(blob: bytes) -> Dict[str, np.ndarray]:
 
 
 def open_arrays_memmap(path: str) -> Dict[str, np.ndarray]:
-    """Open a raw weight bundle file as zero-copy memmap-backed arrays.
+    """Open a raw weight bundle file as zero-copy memory-mapped arrays.
 
     Only the header is read eagerly; array bytes are paged in on access
     and never copied, so opening a bundle costs O(header) memory no
     matter how large the weights are.  The returned arrays are
     read-only views — callers that mutate must copy first (as
     ``Module.load_state_dict`` already does).
+
+    One read-only ``mmap.mmap`` backs them all, one ``np.frombuffer``
+    each (no ``np.memmap`` subclass machinery per array), and only their
+    ``.base`` references it: the file object is closed on return, and
+    the mapping, with the descriptor ``mmap`` keeps for itself, goes
+    with the last array.  A file too short for its header's arrays
+    raises :class:`LakeError`, like a bad magic tag or a truncated
+    header.
     """
     base = len(RWB_MAGIC) + _RWB_LEN.size
     with open(path, "rb") as handle:
@@ -145,13 +154,18 @@ def open_arrays_memmap(path: str) -> Dict[str, np.ndarray]:
             else 0
         )
         prefix += handle.read(header_len)
-    header, data_start = _parse_rwb_header(prefix, path)
-    mm = np.memmap(path, dtype=np.uint8, mode="r")
+        header, data_start = _parse_rwb_header(prefix, path)
+        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     out: Dict[str, np.ndarray] = {}
     for meta in header["arrays"]:
         start = data_start + int(meta["offset"])
-        view = mm[start: start + int(meta["nbytes"])]
-        out[meta["name"]] = view.view(np.dtype(meta["dtype"])).reshape(meta["shape"])
+        dtype = np.dtype(meta["dtype"])
+        if start + int(meta["nbytes"]) > len(mapped):
+            raise LakeError(f"truncated raw weight bundle: {path}")
+        out[meta["name"]] = np.frombuffer(
+            mapped, dtype=dtype, count=int(meta["nbytes"]) // dtype.itemsize,
+            offset=start,
+        ).reshape(meta["shape"])
     return out
 
 

@@ -1,9 +1,13 @@
 """Tests for BM25 keyword search."""
 
+import dataclasses
+import hashlib
 import math
 import os
+import shutil
 import tempfile
 from collections import defaultdict
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ from hypothesis import strategies as st
 from repro.core.search import BM25Index, SearchEngine, build_card_index
 from repro.core.search import keyword as keyword_module
 from repro.core.search.keyword import TABLE_FILE, corpus_digest
+from repro.lake.table import pack_strings
 from repro.errors import ConfigError
+from repro.lake import load_lake, save_lake
 from repro.utils.text import simple_tokenize
 
 
@@ -156,13 +162,40 @@ def _assert_same_table(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
+def _digest(pairs, k1=1.5, b=0.75):
+    """The digest naming ``BM25Index(pairs, k1, b)``'s table."""
+    texts = dict(pairs)
+    return corpus_digest(pack_strings(texts), pack_strings(texts.values()),
+                         k1, b)
+
+
+def _cached(pairs, path, k1=1.5, b=0.75):
+    """``BM25Index.cached`` over ``pairs``: a repeated id keeps its last
+    text, as a build from ``pairs`` does."""
+    texts = dict(pairs)
+    return BM25Index.cached(list(texts), _digest(pairs, k1, b), texts.values,
+                            path, k1, b)
+
+
+def _v1_digest(pairs, k1=1.5, b=0.75):
+    """The digest a version-1 ``bm25.npz`` was saved under: lengths and
+    joined text of every field, no packed columns."""
+    fields = list(chain.from_iterable(pairs))
+    digest = hashlib.sha256(
+        f"bm25 v1 k1={k1!r} b={b!r} n={len(pairs)}\n".encode()
+    )
+    digest.update(np.array([len(f) for f in fields], dtype=np.int64).tobytes())
+    digest.update("".join(fields).encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
+
+
 def _round_trip(pairs, k1=1.5, b=0.75):
     """``pairs`` built, saved and loaded back: (built, loaded)."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, TABLE_FILE)
-        built = BM25Index.cached(pairs, path, k1=k1, b=b)
-        loaded = BM25Index._load(path, corpus_digest(pairs, k1, b),
-                                 list(pairs), k1, b)
+        built = _cached(pairs, path, k1=k1, b=b)
+        loaded = BM25Index._load(path, _digest(pairs, k1, b),
+                                 list(dict(pairs)), k1, b)
     assert loaded is not None
     _assert_same_table(loaded, built)
     return built, loaded
@@ -254,12 +287,12 @@ class TestPersistedTable:
 
     def test_second_open_loads_without_building(self, pairs, tmp_path, builds):
         path = str(tmp_path / TABLE_FILE)
-        built = BM25Index.cached(pairs, path)
+        built = _cached(pairs, path)
         assert len(builds) == 1
-        loaded = BM25Index.cached(pairs, path)
+        loaded = _cached(pairs, path)
         assert len(builds) == 1
         _assert_same_table(loaded, built)
-        assert self._stored_digest(path) == corpus_digest(pairs, 1.5, 0.75)
+        assert self._stored_digest(path) == _digest(pairs)
 
     @pytest.mark.parametrize("change", [
         "card_edit", "k1", "b", "added_model", "foreign_file", "npy_file",
@@ -268,7 +301,7 @@ class TestPersistedTable:
     def test_any_change_rebuilds_and_rewrites(self, pairs, tmp_path, builds,
                                               change):
         path = str(tmp_path / TABLE_FILE)
-        BM25Index.cached(pairs, path)
+        _cached(pairs, path)
         params = {"k1": 1.5, "b": 0.75}
         if change == "card_edit":
             doc_id, text = pairs[3]
@@ -290,23 +323,78 @@ class TestPersistedTable:
                     os.path.getsize(path) // 2 if change == "corrupt_file" else 0
                 )
         before = len(builds)
-        index = BM25Index.cached(pairs, path, **params)
+        index = _cached(pairs, path, **params)
         assert len(builds) == before + 1
-        assert self._stored_digest(path) == corpus_digest(
+        assert self._stored_digest(path) == _digest(
             pairs, params["k1"], params["b"]
         )
         _assert_same_table(index, BM25Index(pairs, **params))
         # And the rewritten file is a warm hit.
-        _assert_same_table(BM25Index.cached(pairs, path, **params), index)
+        _assert_same_table(_cached(pairs, path, **params), index)
         assert len(builds) == before + 2
 
     def test_digest_separates_fields(self):
-        assert corpus_digest([("ab", "c")], 1.5, 0.75) != corpus_digest(
-            [("a", "bc")], 1.5, 0.75
+        assert _digest([("ab", "c")]) != _digest([("a", "bc")])
+        assert _digest([("a", "b")]) != _digest([("a", "b")], 1.5, 0.7500001)
+        # Boundaries between docs, within each column, count too.
+        assert _digest([("a", "bc"), ("d", "e")]) != _digest(
+            [("a", "b"), ("d", "ce")]
         )
-        assert corpus_digest([("a", "b")], 1.5, 0.75) != corpus_digest(
-            [("a", "b")], 1.5, 0.7500001
+        assert _digest([("ab", "c"), ("d", "e")]) != _digest(
+            [("a", "c"), ("bd", "e")]
         )
+
+    def test_lake_layouts_share_one_digest_and_one_file(
+        self, lake_bundle, tmp_path, builds
+    ):
+        in_memory = lake_bundle.lake
+        directory = str(tmp_path / "lake")
+        save_lake(in_memory, directory, sharded=True)
+        shutil.rmtree(os.path.join(directory, "cache"), ignore_errors=True)
+        from_manifest = load_lake(directory, materialize=False)  # writes the table
+        from_table = load_lake(directory, materialize=False)
+        assert from_manifest._current_table() is None
+        assert from_table._current_table() is not None
+        lakes = (in_memory, from_manifest, from_table)
+        digests = {
+            corpus_digest(lake.packed_column("ids"),
+                          lake.packed_column("texts"), 1.5, 0.75)
+            for lake in lakes
+        }
+        assert digests == {_digest(list(zip(in_memory.model_ids(),
+                                            in_memory.card_texts())))}
+        cache_dir = str(tmp_path)
+        indexes = [build_card_index(lake, cache_dir) for lake in lakes]
+        assert len(builds) == 1  # the later two load the first one's file
+        for index in indexes[1:]:
+            _assert_same_table(index, indexes[0])
+
+    def test_card_edit_on_a_lake_is_a_miss(self, mutable_lake_bundle, tmp_path,
+                                           builds):
+        lake = mutable_lake_bundle.lake
+        cache_dir = str(tmp_path)
+        build_card_index(lake, cache_dir)
+        model_id = lake.model_ids()[2]
+        card = lake.get_record(model_id).card
+        lake.update_card(model_id, dataclasses.replace(
+            card, description=(card.description or "") + " zebra"
+        ))
+        index = build_card_index(lake, cache_dir)
+        assert len(builds) == 2
+        assert [doc for doc, _ in index.query("zebra", k=3)] == [model_id]
+        build_card_index(lake, cache_dir)
+        assert len(builds) == 2
+
+    def test_version_1_file_is_a_miss_and_rewritten(self, pairs, tmp_path,
+                                                    builds):
+        path = str(tmp_path / TABLE_FILE)
+        BM25Index(pairs)._save(path, _v1_digest(pairs))
+        assert len(builds) == 1
+        index = _cached(pairs, path)
+        assert len(builds) == 2
+        assert self._stored_digest(path) == _digest(pairs)
+        _assert_same_table(_cached(pairs, path), index)
+        assert len(builds) == 2
 
     def test_failed_write_still_serves_built_table(self, lake_bundle, probes,
                                                    tmp_path, monkeypatch):

@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.search import SearchEngine
 from repro.core.search import engine as engine_module
@@ -486,3 +488,153 @@ class TestCacheThreadSafety:
         reread = EmbeddingCache(str(tmp_path))
         for index in range(20):
             assert reread.get("s", f"d{index:04d}") is not None, index
+
+
+#: The digests a gather property test's cache file holds, in sorted order.
+_STORED = sorted(f"{index * 7919 % 251:02x}{index:06x}" for index in range(24))
+
+
+@pytest.fixture(scope="module")
+def stored_dir(tmp_path_factory):
+    """A cache directory whose space ``s`` holds :data:`_STORED`."""
+    directory = str(tmp_path_factory.mktemp("gather"))
+    cache = EmbeddingCache(directory)
+    for index, digest in enumerate(_STORED):
+        cache.put("s", digest, np.arange(3.0) + 10 * index)
+    cache.flush()
+    return directory
+
+
+def _per_digest_loop(cache, space, digests):
+    """What a per-digest index build did: ``get``, and ``put`` each miss."""
+    rows = []
+    for digest in digests:
+        vector = cache.get(space, digest)
+        if vector is None:
+            vector = np.full(3, -1.0)
+            cache.put(space, digest, vector)
+        rows.append(vector)
+    return rows
+
+
+def _counters():
+    registry = obs_metrics.get_registry()
+    return (registry.counter(EMBED_CACHE_HITS).value,
+            registry.counter(EMBED_CACHE_MISSES).value)
+
+
+class TestGather:
+    """``EmbeddingCache.get`` of a digest list: one lookup for them all."""
+
+    @given(st.lists(
+        st.one_of(st.sampled_from(_STORED), st.sampled_from(
+            ["zz000000", "00", _STORED[3] + "0", _STORED[5][:-1]]
+        )),
+        max_size=30,
+    ), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_per_digest_get(self, stored_dir, digests, in_memory):
+        cache = EmbeddingCache(stored_dir)
+        if in_memory:
+            cache.get("s", _STORED[0])  # loads the space's dict
+        reference = EmbeddingCache(stored_dir)
+        found = cache.get("s", digests)
+        want = [reference.get("s", digest) for digest in digests]
+        if all(row is None for row in want):
+            assert found is None
+            return
+        matrix, missed = found
+        assert missed == [i for i, row in enumerate(want) if row is None]
+        assert matrix.shape == (len(digests), 3)
+        for position, row in enumerate(want):
+            expected = np.zeros(3) if row is None else row
+            assert matrix[position].tobytes() == expected.tobytes()
+        assert ("s" in cache.loaded_spaces) == (in_memory or bool(missed))
+
+    @pytest.mark.parametrize("column", ["reversed", "foreign"])
+    def test_odd_column_never_gives_a_wrong_row(self, tmp_path, column):
+        digests = ["aa11", "bb22", "cc33", "dd44"]
+        vectors = np.arange(8.0).reshape(4, 2)
+        if column == "reversed":  # unsorted: searchsorted lands anywhere
+            stored, rows = digests[::-1], vectors[::-1]
+        else:  # near-misses of every wanted digest
+            stored, rows = ["aa1", "bb222", "cc3", "dd45"], vectors
+        np.savez(tmp_path / "embeddings-s.npz", digests=np.array(stored),
+                 vectors=rows)
+        truth = dict(zip(stored, rows))
+        found = EmbeddingCache(str(tmp_path)).get("s", digests)
+        if column == "foreign":
+            assert found is None
+            return
+        matrix, missed = found
+        for position, digest in enumerate(digests):
+            if position not in missed:
+                assert digest in truth
+                assert matrix[position].tolist() == truth[digest].tolist()
+
+    @given(st.lists(st.sampled_from(_STORED[:4] + ["ee000000", "ff000000"]),
+                    max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_counters_move_as_the_per_digest_loop(self, stored_dir, digests):
+        before = _counters()
+        _per_digest_loop(EmbeddingCache(stored_dir), "s", digests)
+        middle = _counters()
+        cache = EmbeddingCache(stored_dir)
+        found = cache.get("s", digests)
+        after = _counters()
+        missed = range(len(digests)) if found is None else found[1]
+        assert (after[0] - middle[0], after[1] - middle[1]) == (
+            middle[0] - before[0], middle[1] - before[1]
+        )
+        assert len({digests[i] for i in missed}) == middle[1] - before[1]
+
+    def test_put_racing_a_gather_survives_the_flush(self, tmp_path, monkeypatch):
+        seeded = EmbeddingCache(str(tmp_path))
+        seeded.put("s", "aa11", np.ones(2))
+        seeded.flush()
+        cache = EmbeddingCache(str(tmp_path))
+        entered, release = threading.Event(), threading.Event()
+        real_read = cache_module.read_npz
+
+        def gated_read(path, members):
+            entered.set()
+            release.wait(timeout=10)
+            return real_read(path, members)
+
+        monkeypatch.setattr(cache_module, "read_npz", gated_read)
+        gathered = []
+        gatherer = threading.Thread(
+            target=lambda: gathered.append(cache.get("s", ["aa11"]))
+        )
+        gatherer.start()
+        assert entered.wait(timeout=10)
+        writer = threading.Thread(
+            target=lambda: cache.put("s", "bb22", np.full(2, 7.0))
+        )
+        writer.start()
+        time.sleep(0.05)  # let the writer reach the lock
+        release.set()
+        gatherer.join(timeout=10)
+        writer.join(timeout=10)
+        monkeypatch.setattr(cache_module, "read_npz", real_read)
+        matrix, missed = gathered[0]
+        assert missed == [] and matrix.tolist() == [[1.0, 1.0]]
+        cache.flush()
+        reread = EmbeddingCache(str(tmp_path))
+        assert reread.get("s", "aa11").tolist() == [1.0, 1.0]
+        assert reread.get("s", "bb22").tolist() == [7.0, 7.0]
+
+    def test_warm_build_keeps_no_space_in_memory(self, lake_bundle, probes,
+                                                 tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cold = SearchEngine(lake_bundle.lake, probes, cache_dir=cache_dir)
+        assert cold.cache.loaded_spaces  # the cold build put its embeddings
+        warm = SearchEngine(lake_bundle.lake, probes, cache_dir=cache_dir)
+        assert warm.cache.loaded_spaces == []
+        _weight_query(warm)  # cold weight view: a miss loads the space
+        assert warm.cache.loaded_spaces == ["weightstat-s4"]
+        rewarm = SearchEngine(lake_bundle.lake, probes, cache_dir=cache_dir)
+        _weight_query(rewarm)
+        assert rewarm.cache.loaded_spaces == []
+        for query in ("legal contracts", "medical notes"):
+            assert warm.search(query, k=5) == cold.search(query, k=5)

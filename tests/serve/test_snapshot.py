@@ -11,7 +11,9 @@ import pytest
 
 from repro.data.domains import DOMAIN_NAMES
 from repro.data.vocab import build_default_vocabulary
-from repro.lake import ModelLake, save_lake
+from repro.index.cache import EmbeddingCache
+from repro.lake import ModelCard, ModelLake, save_lake
+from repro.lake import table as record_table
 from repro.nn.models import build_model
 from repro.serve import LakeSnapshot
 
@@ -121,3 +123,45 @@ class TestScopedWeightReads:
         )
         assert completed.returncode == 0, completed.stderr[-2000:]
         assert completed.stdout.split() == [str(_COLD_MODELS)]
+
+
+class TestWarmOpenWork:
+    """A warm open builds its query indexes from the packed cache files,
+    with no per-model Python object in between."""
+
+    def test_warm_open_decodes_no_card_and_gets_embeddings_once(
+        self, serve_lake_dir, monkeypatch
+    ):
+        LakeSnapshot.open(serve_lake_dir).close()  # writes every cache file
+        texts, gets, unpacked = [], [], []
+        real_text, real_get = ModelCard.text, EmbeddingCache.get
+        real_unpack = record_table._unpack
+
+        def counting_text(self):
+            texts.append(self)
+            return real_text(self)
+
+        def recording_get(self, space, digests):
+            gets.append(digests)
+            return real_get(self, space, digests)
+
+        def recording_unpack(blob, offsets):
+            unpacked.append(blob)
+            return real_unpack(blob, offsets)
+
+        monkeypatch.setattr(ModelCard, "text", counting_text)
+        monkeypatch.setattr(EmbeddingCache, "get", recording_get)
+        monkeypatch.setattr(record_table, "_unpack", recording_unpack)
+        with LakeSnapshot.open(serve_lake_dir) as snapshot:
+            table = snapshot.lake._current_table()
+            assert table is not None  # opened from the record table
+            texts_blob = table.packed("texts")[0]
+            assert texts == []
+            # One lookup of the whole digest list, none per model.
+            assert [list(digests) for digests in gets] == [
+                snapshot.lake.weight_digests()
+            ]
+            assert not any(blob is texts_blob for blob in unpacked)
+            # One copy of the behavioral matrix: the index's own.
+            assert snapshot.engine.cache.loaded_spaces == []
+            assert snapshot.engine.search("legal court statute", k=3)

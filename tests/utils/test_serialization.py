@@ -1,5 +1,7 @@
 """Tests for weight serialization round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,48 @@ class TestRawWeightBundle:
         mapped = open_arrays_memmap(str(path))
         with pytest.raises((ValueError, TypeError)):
             mapped["w"][0] = 5.0
+
+    def test_memmap_holds_zero_size_arrays(self, tmp_path):
+        arrays = {
+            "a_empty": np.zeros((0, 3), dtype=np.float32),
+            "b": np.arange(5, dtype=np.int64),
+            "z_empty": np.zeros(0),  # last: its offset is the file's end
+        }
+        path = tmp_path / "bundle.rwb"
+        path.write_bytes(pack_arrays(arrays))
+        mapped = open_arrays_memmap(str(path))
+        for name, array in arrays.items():
+            assert mapped[name].shape == array.shape
+            assert mapped[name].dtype == array.dtype
+            assert np.array_equal(mapped[name], array)
+            assert not mapped[name].flags.writeable
+
+    def test_memmap_is_zero_copy_and_scoped(self, tmp_path):
+        import mmap
+
+        path = tmp_path / "bundle.rwb"
+        path.write_bytes(pack_arrays({"u": np.ones(3), "v": np.zeros(2)}))
+        fds = len(os.listdir("/proc/self/fd"))
+        mapped = open_arrays_memmap(str(path))
+
+        def root(array):
+            while isinstance(array, (np.ndarray, memoryview)):
+                array = (array.base if isinstance(array, np.ndarray)
+                         else array.obj)
+            return array
+
+        roots = {id(root(array)) for array in mapped.values()}
+        assert len(roots) == 1
+        assert isinstance(root(mapped["u"]), mmap.mmap)
+        del mapped
+        assert len(os.listdir("/proc/self/fd")) <= fds
+
+    def test_truncated_payload_raises(self, tmp_path):
+        blob = pack_arrays({"w": np.ones(64)})
+        path = tmp_path / "bundle.rwb"
+        path.write_bytes(blob[:-8])
+        with pytest.raises(LakeError):
+            open_arrays_memmap(str(path))
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "bundle.rwb"
