@@ -174,23 +174,16 @@ class BehavioralSearcher:
 
     def search_text(self, query_text: str, k: int = 10) -> List[Tuple[str, float]]:
         """Free-text query -> domain profile -> behavioral ranking."""
-        domains = extract_query_domains(query_text)
-        if not domains:
-            return []
-        return self.search_domains(domains, k=k)
+        return self.search_text_batch([query_text], k=k)[0]
 
     def search_text_batch(
         self, query_texts: Sequence[str], k: int = 10
     ) -> List[List[Tuple[str, float]]]:
-        """Batched free-text search: one ``query_batch`` call for the batch.
+        """Free-text search for each text, positionally aligned.
 
-        Positionally aligned with ``query_texts``.  Queries that map to
-        no domains return ``[]`` exactly as :meth:`search_text` does;
-        the rest are stacked into a single profile matrix and passed to
-        the index's ``query_batch``.  That saves per-call overhead, not
-        scan work: the flat index still scores each row with its own
-        matrix-vector product, so every row matches :meth:`search_text`
-        bit for bit.
+        A text that maps to no domains ranks nothing (``[]``); the rest
+        become domain profiles, stacked into one ``query_batch`` call,
+        which scores each row with its own matrix-vector product.
         """
         results: List[List[Tuple[str, float]]] = [[] for _ in query_texts]
         profiles: List[np.ndarray] = []

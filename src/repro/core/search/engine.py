@@ -129,38 +129,36 @@ class SearchEngine:
         self, query_text: str, k: int = 10, method: str = "hybrid"
     ) -> List[SearchHit]:
         """Rank models for a free-text query using the chosen method."""
-        if method not in SEARCH_METHODS:
-            raise ConfigError(f"unknown method {method!r}; expected {SEARCH_METHODS}")
-        start = time.perf_counter()
-        with trace("search.query", method=method, k=k):
-            if method == "keyword":
-                results = self.keyword_index.query(query_text, k=k)
-            elif method == "behavioral":
-                results = self.behavioral.search_text(query_text, k=k)
-            elif method == "weight":
-                raise ConfigError(
-                    "weight search needs a model as query; use related_models()"
-                )
-            else:
-                results = self._hybrid_search(query_text, k=k)
-        _queries_counter.inc()
-        _latency_histogram.observe(time.perf_counter() - start)
-        return [SearchHit(mid, score, method) for mid, score in results]
+        return self._rank(
+            [(query_text, k, method)], "search.query", method=method, k=k
+        )[0]
 
     def search_batch(
         self, queries: Sequence[Tuple[str, int, str]]
     ) -> List[List[SearchHit]]:
         """Rank a batch of ``(query_text, k, method)`` triples at once.
 
-        The serve layer's micro-batcher funnels coalesced requests here:
-        every behavioral lookup the batch needs (including the
-        behavioral channel of each hybrid query) is grouped by effective
-        k, deduplicated, and passed to one ``query_batch`` call per
-        group, so a repeated query is ranked once.  Each distinct query
-        is still one matrix-vector scan; batching saves dispatch and
-        locking, not scan work.
+        The serve layer's micro-batcher funnels coalesced requests here.
         Results align positionally with ``queries``, and each element
-        matches what :meth:`search` would return for the same triple.
+        equals what :meth:`search` returns for the same triple: both run
+        :meth:`_rank`.
+        """
+        return self._rank(queries, "search.query_batch", size=len(queries))
+
+    def _rank(
+        self,
+        queries: Sequence[Tuple[str, int, str]],
+        span: str,
+        **attributes: object,
+    ) -> List[List[SearchHit]]:
+        """The one ranking routine, inside one ``span``.
+
+        Every behavioral lookup the triples need (including the
+        behavioral channel of each hybrid query) is grouped by effective
+        k, deduplicated, and passed to one ``search_text_batch`` call per
+        group, so a repeated query is ranked once.  Each distinct query
+        is still one matrix-vector scan.  Counts one query per triple
+        and one latency sample per call.
         """
         for _, _, method in queries:
             if method not in SEARCH_METHODS:
@@ -172,7 +170,7 @@ class SearchEngine:
                     "weight search needs a model as query; use related_models()"
                 )
         start = time.perf_counter()
-        with trace("search.query_batch", size=len(queries)):
+        with trace(span, **attributes):
             # Unique behavioral lookups the batch needs: behavioral
             # queries at their own k, hybrid queries at their pool size.
             needed: Dict[Tuple[str, int], List[Tuple[str, float]]] = {}
@@ -205,23 +203,14 @@ class SearchEngine:
         _latency_histogram.observe(time.perf_counter() - start)
         return out
 
-    def _hybrid_search(self, query_text: str, k: int) -> List[Tuple[str, float]]:
-        """alpha * normalized-BM25 + (1 - alpha) * behavioral similarity."""
-        pool = max(k * 5, 20)
-        behavioral = self.behavioral.search_text(query_text, k=pool)
-        return self._fuse_hybrid(query_text, k, behavioral)
-
     def _fuse_hybrid(
         self,
         query_text: str,
         k: int,
         behavioral_hits: Sequence[Tuple[str, float]],
     ) -> List[Tuple[str, float]]:
-        """Fuse precomputed behavioral hits with a fresh BM25 channel.
-
-        Shared by the single-query and batched paths so both fuse with
-        exactly the same arithmetic and ``(-score, id)`` tie-break.
-        """
+        """alpha * normalized-BM25 + (1 - alpha) * behavioral similarity,
+        ranked by ``(-score, id)``."""
         with trace("search.hybrid", k=k):
             pool = max(k * 5, 20)
             keyword = dict(self.keyword_index.query(query_text, k=pool))

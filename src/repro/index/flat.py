@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ def top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> np.ndarray:
     least that much (ties at the boundary included) is then sorted on
     ``(-score, id rank)``, so which of several tied positions make the
     cut is decided by id, never by partition order.  Every ranked path
-    (single-query and batched scans, BM25) ranks with exactly these
-    operations.
+    (the flat scan, BM25) ranks with exactly these operations.
     """
     k = min(k, scores.shape[0])
     if k <= 0:
@@ -49,82 +47,24 @@ class FlatIndex:
     Ranking contract: results order by ``(-score, id)``, so exact ties
     (duplicate vectors, quantized siblings, indicator task profiles)
     come back in id order rather than in whatever order a partition
-    left them — identically from ``query`` and ``query_batch``.
+    left them.
 
-    Incremental ``add`` calls buffer rows and materialize the matrix
-    lazily (one stack per query burst instead of one copy per add);
-    ``build`` ingests a whole batch in a single vectorized pass.
-
-    Consistency: every read path (``query``, ``query_batch``,
-    ``vector_of``) seals the pending buffer first, under the index lock,
-    so a search issued between ``add`` calls always sees every row added
-    before it — and two threads touching the index concurrently can
-    never double-materialize the buffer (which would duplicate rows) or
-    observe a half-written matrix.  ``seal`` exposes the flush
-    explicitly for builders that want to pay the stack eagerly.
+    Built once: :meth:`build` normalizes the whole batch in one
+    vectorized pass and publishes ``(ids, normalized matrix, id rank)``
+    as one immutable view.  Queries read that view with no lock and no
+    copy; a second ``build`` swaps in a new view wholesale, so a query
+    racing it scores against the old view or the new one, never a mix.
     """
 
     def __init__(self) -> None:
-        self._ids: List[str] = []
-        self._vectors: Optional[np.ndarray] = None
-        self._pending: List[np.ndarray] = []
-        # Id -> its first row, built by the first ``vector_of`` after a
-        # change; None until then (only ``vector_of`` reads it).
-        self._id_to_row: Optional[Dict[str, int]] = None
-        # Row -> position of its id in sorted id order: the tie-break
-        # key of :func:`top_k`, recomputed whenever rows are materialized.
-        self._id_rank: np.ndarray = np.empty(0, dtype=np.int64)
-        # One lock serializes buffer mutation and materialization; reads
-        # of the sealed matrix happen on a reference captured under the
-        # lock, so a concurrent rebuild can never swap it mid-scan.
-        self._lock = threading.Lock()
+        # (ids, row-normalized matrix, row -> position of its id in
+        # sorted id order: the tie-break key of :func:`top_k`).
+        self._view: Tuple[Tuple[str, ...], np.ndarray, np.ndarray] = (
+            (), np.empty((0, 0)), np.empty(0, dtype=np.int64)
+        )
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    def _dim(self) -> Optional[int]:
-        if self._vectors is not None:
-            return self._vectors.shape[1]
-        if self._pending:
-            return self._pending[0].shape[0]
-        return None
-
-    def add(self, item_id: str, vector: np.ndarray) -> None:
-        vector = l2_normalize(np.asarray(vector, dtype=np.float64))
-        with self._lock:
-            dim = self._dim()
-            if dim is not None and vector.shape[0] != dim:
-                raise IndexError_(
-                    f"vector dim {vector.shape[0]} != index dim {dim}"
-                )
-            self._pending.append(vector)
-            self._id_to_row = None
-            self._ids.append(item_id)
-
-    def _materialize_locked(
-        self,
-    ) -> Tuple[List[str], Optional[np.ndarray], np.ndarray]:
-        """Flush pending rows; returns a consistent (ids, matrix, id rank)
-        view.
-
-        Must be called with the lock held.  The returned references are
-        safe to use after the lock is released: the matrix and the rank
-        array are replaced on growth, never mutated in place.
-        """
-        if self._pending:
-            block = np.stack(self._pending)
-            self._vectors = (
-                block if self._vectors is None
-                else np.concatenate([self._vectors, block])
-            )
-            self._pending = []
-            self._id_rank = id_ranks(self._ids)
-        return self._ids[: len(self._ids)], self._vectors, self._id_rank
-
-    def seal(self) -> None:
-        """Flush buffered adds now, so later reads pay no stack."""
-        with self._lock:
-            self._materialize_locked()
+        return len(self._view[0])
 
     def build(self, ids: Sequence[str], vectors: np.ndarray) -> None:
         """Replace the index contents with a whole batch at once."""
@@ -133,54 +73,33 @@ class FlatIndex:
             raise IndexError_(f"{len(ids)} ids but {len(vectors)} vectors")
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms < 1e-12] = 1.0
-        normalized = vectors / norms
-        ids = list(ids)
-        id_rank = id_ranks(ids)
-        with self._lock:
-            self._vectors = normalized
-            self._ids = ids
-            self._pending = []
-            self._id_to_row = None
-            self._id_rank = id_rank
+        ids = tuple(ids)
+        self._view = (ids, vectors / norms, id_ranks(ids))
 
     def query(self, vector: np.ndarray, k: int = 10) -> List[Tuple[str, float]]:
         """Top-k (id, cosine similarity) pairs, best first."""
-        with self._lock:
-            ids, matrix, id_rank = self._materialize_locked()
-        if matrix is None or not ids:
-            return []
-        vector = l2_normalize(np.asarray(vector, dtype=np.float64))
-        similarities = matrix @ vector
-        top = top_k(similarities, id_rank, k)
-        return [(ids[i], float(similarities[i])) for i in top]
+        return self.query_batch(vector, k)[0]
 
     def query_batch(
         self, vectors: np.ndarray, k: int = 10
     ) -> List[List[Tuple[str, float]]]:
-        """Top-k for every row of ``vectors`` against one sealed view.
+        """Top-k for every row of ``vectors`` (a 1-D vector is one row).
 
-        The batch amortizes the lock, the buffer materialization, and
-        (in the serving path) the executor dispatch; each row is then
-        scored with *the same* matrix-vector product the single-query
-        path uses.  Deliberately not one matrix-matrix product: BLAS
-        gemm and gemv accumulate in different orders, so a gemm-scored
-        batch returns ULP-different scores depending on which other
-        queries shared the batch — and near-tied ranks could flip.
-        Bit-identical results regardless of batch composition is the
-        contract micro-batched serving relies on.
+        Each row is scored with its own matrix-vector product.
+        Deliberately not one matrix-matrix product: BLAS gemm and gemv
+        accumulate in different orders, so a gemm-scored batch returns
+        ULP-different scores depending on which other queries shared the
+        batch — and near-tied ranks could flip.  Bit-identical results
+        regardless of batch composition is the contract micro-batched
+        serving relies on.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim == 1:
             vectors = vectors[None, :]
-        if vectors.shape[0] == 0:
-            return []
-        with self._lock:
-            ids, matrix, id_rank = self._materialize_locked()
-        if matrix is None or not ids:
-            return [[] for _ in range(vectors.shape[0])]
+        ids, matrix, id_rank = self._view
+        if not ids:
+            return [[] for _ in vectors]
         results: List[List[Tuple[str, float]]] = []
-        # Per-row gemv on purpose: one gemm would break bit-parity with
-        # query() (see docstring).
         for row in vectors:
             similarities = matrix @ l2_normalize(row)
             top = top_k(similarities, id_rank, k)
@@ -188,14 +107,9 @@ class FlatIndex:
         return results
 
     def vector_of(self, item_id: str) -> np.ndarray:
-        with self._lock:
-            if self._id_to_row is None:
-                self._id_to_row = {}
-                for row, known in enumerate(self._ids):
-                    self._id_to_row.setdefault(known, row)
-            row = self._id_to_row.get(item_id)
-            if row is None:
-                raise IndexError_(f"id not in index: {item_id!r}")
-            _, matrix, _ = self._materialize_locked()
-        assert matrix is not None
-        return matrix[row]
+        """The stored (normalized) vector of ``item_id``'s first row."""
+        ids, matrix, _ = self._view
+        try:
+            return matrix[ids.index(item_id)]
+        except ValueError:
+            raise IndexError_(f"id not in index: {item_id!r}") from None

@@ -75,8 +75,8 @@ class ModelLake:
         self._clock = 0
         self._id_counter = itertools.count()
         #: Shard layout of the persisted lake this instance was loaded
-        #: from, or None for an in-memory / pre-shard lake.  Search and
-        #: embedding caches use it to group work by digest prefix.
+        #: from, or None for an in-memory / pre-shard lake.  Only
+        #: ``persist.load_lake`` reads it, to write the record table.
         self.storage_layout = None
 
     # ------------------------------------------------------------------

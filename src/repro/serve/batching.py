@@ -9,11 +9,11 @@ triples.  So an idle server answers each query alone, with no added
 latency, and a loaded one coalesces exactly the queries that would
 otherwise have queued.
 
-A batch shares one executor hop, one index lock and buffer
-materialization (:meth:`~repro.index.flat.FlatIndex.query_batch`), and
-one ranking per distinct query.  The rows are still scored one
-matrix-vector product each, deliberately: a single matrix-matrix
-product would make scores depend on which queries shared the batch.
+A batch shares one executor hop and one ranking per distinct query
+(:meth:`~repro.core.search.engine.SearchEngine.search_batch`).  The
+rows are still scored one matrix-vector product each, deliberately: a
+single matrix-matrix product would make scores depend on which queries
+shared the batch.
 
 Identical waiting triples ``(query, k, method)`` are deduplicated —
 they share one future and one slot in the dispatched batch, so a burst

@@ -10,9 +10,14 @@ Endpoints (all JSON):
 * ``GET /search?q=...&k=10&method=hybrid`` — ranked models; ``POST``
   with a ``{"q": ..., "k": ..., "method": ...}`` body is equivalent.
 * ``GET /model/<id>`` — one record's metadata view.
-* ``GET /healthz`` — liveness (200 serving, 503 draining).
+* ``GET /healthz`` — liveness (``{"status": "ok"}``, or ``"draining"``
+  once shutdown has begun).
 * ``GET /stats`` — lake facts plus a full metrics snapshot (the
   ``serve.*`` histograms carry per-endpoint p50/p99).
+
+``/model/<id>``, ``/healthz`` and ``/stats`` also answer ``HEAD``; a
+reply to ``HEAD`` carries the headers of the ``GET`` reply and no body.
+Any other method gets ``405`` with an ``Allow`` header.
 
 Shutdown is graceful: the listener closes first, requests already in
 flight run to completion, the batcher drains its tail, and only then
@@ -78,6 +83,14 @@ _LATENCY = {
     "model": SERVE_MODEL_LATENCY,
     "stats": SERVE_STATS_LATENCY,
     "healthz": SERVE_HEALTH_LATENCY,
+}
+
+#: Endpoint -> the methods it answers.
+_METHODS = {
+    "search": ("GET", "POST"),
+    "model": ("GET", "HEAD"),
+    "healthz": ("GET", "HEAD"),
+    "stats": ("GET", "HEAD"),
 }
 
 _MAX_BODY = 1 << 20  # requests are tiny; anything bigger is abuse
@@ -322,7 +335,10 @@ class LakeServer:
                 status, payload = await self._dispatch(
                     http_method, target, body
                 )
-                await self._respond(writer, status, payload, keep_alive)
+                await self._respond(
+                    writer, status, payload, keep_alive,
+                    with_body=http_method != "HEAD",
+                )
                 if not keep_alive:
                     break
         except (
@@ -346,6 +362,7 @@ class LakeServer:
         status: int,
         payload: Dict[str, Any],
         keep_alive: bool,
+        with_body: bool = True,
     ) -> None:
         data = json.dumps(payload, default=str).encode()
         connection = "keep-alive" if keep_alive else "close"
@@ -357,7 +374,11 @@ class LakeServer:
         )
         if status == 503:
             head += "Retry-After: 1\r\n"
-        writer.write(head.encode("latin-1") + b"\r\n" + data)
+        if status == 405:
+            head += f"Allow: {', '.join(payload['allow'])}\r\n"
+        writer.write(
+            head.encode("latin-1") + b"\r\n" + (data if with_body else b"")
+        )
         await writer.drain()
 
     # -- routing -------------------------------------------------------
@@ -430,6 +451,12 @@ class LakeServer:
     ) -> Tuple[int, Dict[str, Any]]:
         if endpoint is None:
             return 404, {"error": f"no route for {path!r}"}
+        allowed = _METHODS[endpoint]
+        if http_method not in allowed:
+            return 405, {
+                "error": f"{http_method} not allowed on {path}",
+                "allow": list(allowed),
+            }
         if endpoint == "healthz":
             return 200, {"status": "draining" if self._draining else "ok"}
         if endpoint == "stats":
@@ -437,8 +464,6 @@ class LakeServer:
         if endpoint == "model":
             return self._model_payload(path[len("/model/"):])
         # /search: GET query string or POST JSON body.
-        if http_method not in ("GET", "POST"):
-            return 405, {"error": f"{http_method} not allowed on /search"}
         params: Dict[str, Any] = {
             key: values[-1] for key, values in parse_qs(query_string).items()
         }

@@ -113,6 +113,45 @@ class TestEndpoints:
         finally:
             conn.close()
 
+    def test_head_reply_has_no_body_on_a_keep_alive_connection(self, server):
+        """HEAD then GET on one socket: the HEAD reply ends at its blank
+        line, so the next bytes are the GET reply's status line."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(
+                b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            )
+            received = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                received += chunk
+        head, _, rest = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        [(get_head, get_body)] = _responses(rest)
+        assert get_head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(get_body) == {"status": "ok"}
+
+    @pytest.mark.parametrize("method, target, allow", [
+        ("DELETE", "/stats", "GET, HEAD"),
+        ("POST", "/healthz", "GET, HEAD"),
+        ("PUT", "/model/x", "GET, HEAD"),
+        ("HEAD", "/search?q=legal", "GET, POST"),
+    ])
+    def test_other_methods_get_405_with_allow(self, server, method, target,
+                                              allow):
+        conn = HTTPConnection("127.0.0.1", server.port)
+        try:
+            conn.request(method, target)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 405
+            assert response.getheader("Allow") == allow
+        finally:
+            conn.close()
+
     def test_model_endpoint(self, server):
         record = next(iter(server.server.snapshot.lake))
         status, payload = server.get(f"/model/{record.model_id}")
