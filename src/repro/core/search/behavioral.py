@@ -15,7 +15,7 @@ shared probe set) support three query shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -106,15 +106,16 @@ def embedding_index(
     Vectors are read from ``cache`` by weight digest in one lookup of
     the whole digest list (:meth:`EmbeddingCache.get`); each miss loads
     and embeds the model and stores the result, once per distinct
-    digest.  The index is the same on any on-disk layout: sharding is a
-    storage concern, not a search one.
+    digest.  The matrix so made is handed to the index, which normalizes
+    it in place (:meth:`FlatIndex.adopt`).  The index is the same on any
+    on-disk layout: sharding is a storage concern, not a search one.
     """
     space = embedder.space_key
-    model_ids = lake.model_ids()
-    digests = lake.weight_digests()
+    digests = _digest_column(lake)
     found = cache.get(space, digests) if cache is not None else None
+    model_ids = lake.model_ids()
     matrix, missed = found if found is not None else (None, range(len(digests)))
-    embedded: Dict[str, np.ndarray] = {}
+    embedded: Dict[Union[str, bytes], np.ndarray] = {}
     vectors: List[np.ndarray] = []
     for position in missed:
         digest = digests[position]
@@ -132,8 +133,23 @@ def embedding_index(
             matrix[missed] = vectors
     index = FlatIndex()
     if matrix is not None:
-        index.build(model_ids, matrix)
+        index.adopt(model_ids, matrix)
     return index
+
+
+def _digest_column(lake: ModelLake) -> Union[np.ndarray, List[str]]:
+    """The lake's weight digests, aligned with its model ids: its packed
+    digest column viewed as ``S<w>`` with no copy when every digest is
+    ``w`` bytes wide (as weight-store digests are), else a list."""
+    blob, offsets = lake.packed_column("digests")
+    rows = len(offsets) - 1
+    width = len(blob) // rows if rows else 0
+    # min/max rather than an int64 ``==``: that would map numpy code
+    # pages nothing else in a server touches.
+    gaps = np.diff(offsets)
+    if width and gaps.min() == gaps.max() == width:
+        return blob.view(f"S{width}")
+    return lake.weight_digests()
 
 
 class BehavioralSearcher:

@@ -12,18 +12,23 @@ dense score vector.  Each weight is computed with the textbook
 expression and each doc's score sums its terms' weights in query-token
 order, so scores are bit-identical to a per-posting dict scorer.
 
+Rows are numbered in sorted-token order, and the vocabulary is kept as
+one sorted array of the tokens' ASCII bytes (``S<w>``, ``w`` the
+longest token), not a dict: a query finds the rows of all its tokens
+with one ``np.searchsorted``, and a token longer than ``w`` misses
+without being compared (it must not match its own truncation).
+
 The table depends only on the corpus and ``(k1, b)``, so a lake keeps it
 in its cache directory as ``bm25.npz`` (:meth:`BM25Index.cached`),
-stamped with a digest of the corpus, the parameters and the table
-format.  The digest is taken over the corpus *packed*: the ids and the
-texts each as one UTF-8 blob plus int64 offsets, the layout in which a
-warm lake's record table already holds them
-(:meth:`~repro.lake.lake.ModelLake.packed_column`).  So a warm open
-whose digest matches loads the arrays without decoding, let alone
-re-tokenizing, a single card; the card texts are decoded only to build.
-Any other file is rebuilt and overwritten.  Loaded and built tables are
-installed by the same step and are bit-identical, so a loaded index
-ranks exactly as a fresh build.
+stamped with a digest of the table format, the parameters, the corpus
+size and the :func:`~repro.lake.table.column_digest` of its id and text
+columns.  A warm lake's record table stores those column digests
+(:meth:`~repro.lake.lake.ModelLake.column_digest`), so a warm open
+whose digest matches loads the arrays without rendering, let alone
+re-tokenizing, a single card; the card texts are rendered only to
+build.  Any other file is rebuilt and overwritten.  Loaded and built
+tables are installed by the same step and are bit-identical, so a
+loaded index ranks exactly as a fresh build.
 """
 
 from __future__ import annotations
@@ -50,32 +55,25 @@ _log = get_logger("search.keyword")
 TABLE_FILE = "bm25.npz"
 #: Part of every corpus digest: bump it when the saved members or their
 #: meaning change, and every older file reads as a miss.
-_TABLE_VERSION = 2
+_TABLE_VERSION = 3
 #: The members of a table file, in the order ``_save`` writes them.
 _MEMBERS = ["digest", "vocab", "offsets", "docs", "weights", "avg_length"]
 
 
-#: A string column packed as a UTF-8 blob plus int64 offsets.
-Packed = Tuple[np.ndarray, np.ndarray]
-
-
 def corpus_digest(
-    ids: Packed, texts: Packed, k1: float = 1.5, b: float = 0.75
+    ids: str, texts: str, n: int, k1: float = 1.5, b: float = 0.75
 ) -> str:
-    """sha256 naming the table ``BM25Index(zip(ids, texts), k1, b)`` builds.
+    """sha256 naming the table ``BM25Index(zip(ids, texts), k1, b)``
+    builds over ``n`` distinct ids.
 
-    Covers the table format, the parameters, and the packed id and text
-    columns (:func:`~repro.lake.table.pack_strings`); hashing each
-    column's offsets as well as its blob makes the fields parse one way
-    only.
+    Covers the table format, the parameters, ``n`` and the
+    :func:`~repro.lake.table.column_digest` of the packed id column
+    (``ids``) and text column (``texts``).
     """
-    digest = hashlib.sha256(
-        f"bm25 v{_TABLE_VERSION} k1={k1!r} b={b!r} n={len(ids[1]) - 1}\n".encode()
-    )
-    for blob, offsets in (ids, texts):
-        digest.update(np.asarray(offsets, dtype="<i8").tobytes())
-        digest.update(np.ascontiguousarray(blob, dtype=np.uint8).data)
-    return digest.hexdigest()
+    return hashlib.sha256(
+        f"bm25 v{_TABLE_VERSION} k1={k1!r} b={b!r} n={n} "
+        f"ids={ids} texts={texts}\n".encode()
+    ).hexdigest()
 
 
 class BM25Index:
@@ -95,8 +93,8 @@ class BM25Index:
         texts = dict(docs)
         ids = list(texts)
         num_docs = len(ids)
-        # Token -> term row, numbered in first-seen order: a missing key
-        # is assigned the next row as it is looked up.
+        # Token -> term id, numbered in first-seen order: a missing key
+        # is assigned the next id as it is looked up.
         vocab: Dict[str, int] = defaultdict()
         vocab.default_factory = vocab.__len__
         lengths: List[int] = []
@@ -110,6 +108,15 @@ class BM25Index:
             chain.from_iterable(map(term_rows, texts.values())), dtype=np.int32
         )
         del texts
+        # Renumber the terms as rows in sorted-token order.
+        tokens = list(vocab)
+        order = sorted(range(len(tokens)), key=tokens.__getitem__)
+        row_of = np.empty(len(tokens), dtype=np.int32)
+        row_of[order] = np.arange(len(tokens), dtype=np.int32)
+        terms = row_of[terms]
+        # Tokens are ASCII ([a-z0-9_]), so str order is their bytes' order.
+        sorted_vocab = np.array([tokens[i] for i in order], dtype=bytes)
+        del vocab, tokens, order, row_of
         avg_length = sum(lengths) / num_docs if num_docs else 0.0
 
         # One sorted key per (term, doc) occurrence; its run length is tf.
@@ -124,8 +131,8 @@ class BM25Index:
         keys, tf = np.unique(keys, return_counts=True)
         term_of, docs_of = np.divmod(keys, stride)
         del keys
-        df = np.bincount(term_of, minlength=len(vocab))
-        offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
+        df = np.bincount(term_of, minlength=len(sorted_vocab))
+        offsets = np.zeros(len(sorted_vocab) + 1, dtype=np.int64)
         np.cumsum(df, out=offsets[1:])
         doc_positions = docs_of.astype(np.int32)
         del docs_of
@@ -145,7 +152,7 @@ class BM25Index:
         denominator *= k1
         denominator += tf
         weights /= denominator
-        self._install(ids, list(vocab), offsets, doc_positions, weights,
+        self._install(ids, sorted_vocab, offsets, doc_positions, weights,
                       avg_length)
 
     def _set_params(self, k1: float, b: float) -> None:
@@ -157,7 +164,7 @@ class BM25Index:
     def _install(
         self,
         ids: List[str],
-        vocab: List[str],
+        vocab: np.ndarray,
         offsets: np.ndarray,
         docs: np.ndarray,
         weights: np.ndarray,
@@ -166,8 +173,8 @@ class BM25Index:
         """Make a weight table this index's state, built or loaded."""
         self._ids = ids
         self._id_rank = id_ranks(ids)
-        #: Token -> row of the weight table; ``vocab`` is in row order.
-        self._rows: Dict[str, int] = dict(zip(vocab, range(len(vocab))))
+        #: Row r's token, as ASCII bytes; sorted, so rows are in token order.
+        self._vocab = vocab
         #: Row r spans ``[_offsets[r], _offsets[r + 1])`` of ``_docs``
         #: (int32 doc positions, ascending within a row) and ``_weights``.
         self._offsets = offsets
@@ -219,7 +226,7 @@ class BM25Index:
         index = cls.__new__(cls)
         index._set_params(k1, b)
         index._install(
-            ids, table["vocab"].tolist(), table["offsets"], table["docs"],
+            ids, table["vocab"], table["offsets"], table["docs"],
             table["weights"], float(table["avg_length"]),
         )
         _log.debug("bm25.loaded", path=path, docs=len(index))
@@ -228,7 +235,7 @@ class BM25Index:
     def _save(self, path: str, digest: str) -> None:
         atomic_write_npz(path, {
             "digest": np.array(digest),
-            "vocab": np.array(list(self._rows), dtype=str),
+            "vocab": self._vocab,
             "offsets": self._offsets,
             "docs": self._docs,
             "weights": self._weights,
@@ -246,10 +253,7 @@ class BM25Index:
         """
         scores = np.zeros(len(self._ids), dtype=np.float64)
         touched = np.zeros(len(self._ids), dtype=bool)
-        for token in simple_tokenize(text):
-            row = self._rows.get(token)
-            if row is None:
-                continue
+        for row in self._rows_of(simple_tokenize(text)):
             start, stop = self._offsets[row], self._offsets[row + 1]
             docs = self._docs[start:stop]
             # Docs are unique within a row, so the buffered += is exact.
@@ -260,6 +264,21 @@ class BM25Index:
         top = top_k(scores, self._id_rank[candidates], k)
         return [(self._ids[candidates[i]], float(scores[i])) for i in top]
 
+    def _rows_of(self, tokens: List[str]) -> List[int]:
+        """The table row of each of ``tokens`` in the vocabulary, in
+        order and with repeats, skipping the tokens it lacks: one
+        ``np.searchsorted`` for them all."""
+        vocab = self._vocab
+        width = vocab.dtype.itemsize
+        # A longer token is in no row; cast to ``S<w>`` it would match
+        # its own truncation.
+        wanted = np.array([t for t in tokens if len(t) <= width], dtype=vocab.dtype)
+        if not len(wanted) or not len(vocab):
+            return []
+        # Array methods, not the np.* wrappers: this runs once per query.
+        rows = vocab.searchsorted(wanted)
+        return rows[vocab.take(rows, mode="clip") == wanted].tolist()
+
 
 def build_card_index(lake: ModelLake, cache_dir: Optional[str] = None) -> BM25Index:
     """BM25 index over every model card in the lake.
@@ -267,14 +286,16 @@ def build_card_index(lake: ModelLake, cache_dir: Optional[str] = None) -> BM25In
     With ``cache_dir`` the frozen table is kept in
     ``<cache_dir>/bm25.npz``: loaded when it was written for these
     cards, built and (re)written otherwise (:meth:`BM25Index.cached`).
-    The table's key is taken over the lake's packed id and text columns
-    (:meth:`~repro.lake.lake.ModelLake.packed_column`), so a warm load
-    decodes no card text.
+    The table's key is taken over the digests of the lake's id and text
+    columns (:meth:`~repro.lake.lake.ModelLake.column_digest`), so a
+    warm load renders no card text.
     """
+    ids = lake.model_ids()
     if cache_dir is None:
-        return BM25Index(zip(lake.model_ids(), lake.card_texts()))
-    digest = corpus_digest(lake.packed_column("ids"), lake.packed_column("texts"))
+        return BM25Index(zip(ids, lake.card_texts()))
+    digest = corpus_digest(
+        lake.column_digest("ids"), lake.column_digest("texts"), len(ids)
+    )
     return BM25Index.cached(
-        lake.model_ids(), digest, lake.card_texts,
-        os.path.join(cache_dir, TABLE_FILE),
+        ids, digest, lake.card_texts, os.path.join(cache_dir, TABLE_FILE),
     )

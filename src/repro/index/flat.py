@@ -1,4 +1,13 @@
-"""Exact (brute-force) nearest-neighbor index — the recall-1.0 baseline."""
+"""Exact (brute-force) nearest-neighbor index — the recall-1.0 baseline.
+
+A build normalizes its matrix in place, :data:`BLOCK_ROWS` rows at a
+time, so the index's own matrix is the only full-size array it leaves
+or makes: :meth:`FlatIndex.build` copies the caller's vectors once into
+it, and :meth:`FlatIndex.adopt` takes over a matrix its caller has just
+made (the embedding cache's gather) without a copy.  Each row's norm is
+reduced on its own and ``/=`` rounds as ``/`` does, so the result is
+bit-identical to normalizing the whole matrix in one pass.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +17,11 @@ import numpy as np
 
 from repro.errors import IndexError_
 from repro.index.embedders import l2_normalize
+
+#: Rows per block of the in-place normalization, and of the embedding
+#: cache's streamed reads: a block's temporaries are all a full-size
+#: pass would add to the matrix itself.
+BLOCK_ROWS = 1024
 
 
 def id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -49,8 +63,8 @@ class FlatIndex:
     come back in id order rather than in whatever order a partition
     left them.
 
-    Built once: :meth:`build` normalizes the whole batch in one
-    vectorized pass and publishes ``(ids, normalized matrix, id rank)``
+    Built once: :meth:`build` normalizes the whole batch in place,
+    block by block, and publishes ``(ids, normalized matrix, id rank)``
     as one immutable view.  Queries read that view with no lock and no
     copy; a second ``build`` swaps in a new view wholesale, so a query
     racing it scores against the old view or the new one, never a mix.
@@ -67,14 +81,23 @@ class FlatIndex:
         return len(self._view[0])
 
     def build(self, ids: Sequence[str], vectors: np.ndarray) -> None:
-        """Replace the index contents with a whole batch at once."""
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if len(ids) != len(vectors):
-            raise IndexError_(f"{len(ids)} ids but {len(vectors)} vectors")
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        norms[norms < 1e-12] = 1.0
+        """Replace the index contents with a whole batch at once; the
+        index keeps a normalized copy of ``vectors``."""
+        self.adopt(ids, np.array(vectors, dtype=np.float64))
+
+    def adopt(self, ids: Sequence[str], matrix: np.ndarray) -> None:
+        """:meth:`build` without the copy: ``matrix``, a writable float64
+        array the caller hands over and no longer uses, is normalized in
+        place and becomes the index's own."""
+        if len(ids) != len(matrix):
+            raise IndexError_(f"{len(ids)} ids but {len(matrix)} vectors")
+        for start in range(0, len(matrix), BLOCK_ROWS):
+            block = matrix[start:start + BLOCK_ROWS]
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            norms[norms < 1e-12] = 1.0
+            block /= norms
         ids = tuple(ids)
-        self._view = (ids, vectors / norms, id_ranks(ids))
+        self._view = (ids, matrix, id_ranks(ids))
 
     def query(self, vector: np.ndarray, k: int = 10) -> List[Tuple[str, float]]:
         """Top-k (id, cosine similarity) pairs, best first."""

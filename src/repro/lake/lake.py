@@ -204,9 +204,10 @@ class ModelLake:
         blob plus int64 offsets, aligned with :meth:`model_ids`.
 
         A lake opened from a current record table hands out the table's
-        own members, decoding nothing; any other lake packs the column
-        from its records (:func:`repro.lake.table.pack_strings`), so
-        both give the same bytes for the same records.
+        own ``ids`` and ``digests`` members, decoding nothing; any other
+        column or lake is packed from its strings
+        (:func:`repro.lake.table.pack_strings`), so every lake gives the
+        same bytes for the same records.
         """
         table = self._current_table()
         if table is not None:
@@ -214,6 +215,19 @@ class ModelLake:
         from repro.lake.table import pack_strings
 
         return pack_strings(self._column(name))
+
+    def column_digest(self, name: str) -> str:
+        """The :func:`~repro.lake.table.column_digest` of
+        :meth:`packed_column` ``(name)``: read from a current record
+        table, which stores it, and hashed from the packed column by
+        any other lake, so every lake gives the same digest for the
+        same records."""
+        table = self._current_table()
+        if table is not None:
+            return table.column_digest(name)
+        from repro.lake.table import column_digest
+
+        return column_digest(self.packed_column(name))
 
     def get_record(self, model_id: str) -> ModelRecord:
         try:

@@ -2,13 +2,19 @@
 
 Decoding ``manifest.json`` and building a :class:`ModelRecord` for every
 entry is most of what opening a large lake costs, yet a search server
-needs only each model's id, weight digest and card text up front, and
-one record's metadata per ``/model`` request.  :func:`load_lake`
-therefore keeps those columns in ``<lake>/cache/records.npz``:
+needs only each model's id and weight digest up front, a key naming its
+card texts, and one record's metadata per ``/model`` request.
+:func:`load_lake` therefore keeps those columns in
+``<lake>/cache/records.npz``:
 
-* ``ids``, ``digests``, ``texts`` — model ids, weight digests and
-  :meth:`ModelCard.text` renderings (BM25's documents), in
+* ``ids``, ``digests`` — model ids and weight digests, in
   ``created_at`` order, each a UTF-8 blob plus ``<name>_offsets``;
+* ``column_sha256`` — the :func:`column_digest` of the ``ids``,
+  ``digests`` and ``texts`` columns, ``texts`` being the
+  :meth:`ModelCard.text` renderings (BM25's documents).  The texts
+  themselves are not stored: the BM25 table's cache key needs only
+  their digest (:mod:`repro.core.search.keyword`), and a BM25 build
+  renders them from the entries;
 * ``entries`` — each record's manifest entry as compact JSON, in zlib
   blocks of :data:`_BLOCK` entries bounded by ``entry_blocks``;
   ``entries_offsets`` bounds each entry in the uncompressed stream.  A
@@ -18,11 +24,13 @@ therefore keeps those columns in ``<lake>/cache/records.npz``:
   logical clock, the shard layout and the manifest's dataset section.
 
 An open table stays packed: only ``ids`` is decoded up front, the
-``digests`` and ``texts`` columns are decoded on each
-:meth:`RecordTable.column` call, and the entries stay compressed but
-for the one block last read.  :meth:`RecordTable.packed` hands out a
-string column's blob and offsets as stored, which is all the BM25
-table's cache key needs (:mod:`repro.core.search.keyword`).
+``digests`` column is decoded on each :meth:`RecordTable.column` call,
+and the entries stay compressed but for the one block last read.
+:meth:`RecordTable.packed` hands out a string column's blob and
+offsets as stored, which is all the embedding gather needs
+(:func:`repro.core.search.behavioral.embedding_index` views the digest
+blob as fixed-width bytes).  :meth:`RecordTable.column` renders
+``texts`` from the entries without keeping a decoded record.
 
 The ``key`` member is the sha256 of the manifest bytes plus
 :data:`_TABLE_VERSION`, so any change to the manifest, or to the code
@@ -37,6 +45,7 @@ rewritten by the next load.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import zlib
@@ -55,8 +64,8 @@ TABLE_FILE = "records.npz"
 
 #: Part of every key.  Bump it when the members or their meaning change,
 #: and when :meth:`ModelCard.text` renders differently (the ``texts``
-#: column is derived by it), so every older file reads as a miss.
-_TABLE_VERSION = 2
+#: digest is derived by it), so every older file reads as a miss.
+_TABLE_VERSION = 3
 
 #: Entries per zlib block of the ``entries`` column.
 _BLOCK = 64
@@ -64,14 +73,21 @@ _BLOCK = 64
 #: String columns, each stored as one blob plus ``<name>_offsets``
 #: (the ``entries`` blob holds zlib blocks; its offsets bound each
 #: entry in the decompressed stream).
-_STRING_COLUMNS = ("ids", "digests", "texts", "entries")
+_STRING_COLUMNS = ("ids", "digests", "entries")
+
+#: The columns whose :func:`column_digest` the ``column_sha256`` member
+#: holds, in that order.
+_DIGESTED = ("ids", "digests", "texts")
 
 #: The members of a table file, in the order :func:`write_table` writes them.
 _MEMBERS = ["key", "clock", "layout", "datasets", "created"] + [
     member
     for column in _STRING_COLUMNS
     for member in (column, f"{column}_offsets")
-] + ["entry_blocks"]
+] + ["entry_blocks", "column_sha256"]
+
+#: A string column packed as a UTF-8 blob plus int64 offsets.
+Packed = Tuple[np.ndarray, np.ndarray]
 
 
 def table_key(manifest_sha256: str) -> str:
@@ -136,7 +152,8 @@ class RecordTable:
         datasets: List[Dict],
         created: np.ndarray,
         ids: List[str],
-        columns: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        columns: Dict[str, Packed],
+        column_digests: Dict[str, str],
         entries: np.ndarray,
         entry_offsets: np.ndarray,
         entry_blocks: np.ndarray,
@@ -146,8 +163,10 @@ class RecordTable:
         self.datasets = datasets
         self.created = created
         self.ids = ids
-        #: ``ids``, ``digests`` and ``texts``: each its blob and offsets.
+        #: ``ids`` and ``digests``: each its blob and offsets.
         self._columns = columns
+        #: ``ids``, ``digests`` and ``texts``: each its :func:`column_digest`.
+        self._column_digests = column_digests
         self._entries = entries
         self._entry_offsets = entry_offsets
         self._entry_blocks = entry_blocks
@@ -163,14 +182,31 @@ class RecordTable:
         return len(self.ids)
 
     def column(self, name: str) -> List[str]:
-        """A fresh list of column ``name``: ``ids``, ``digests`` or ``texts``."""
+        """A fresh list of column ``name``: ``ids``, ``digests`` or ``texts``.
+
+        ``texts`` is rendered from the entries, each decoded for the
+        purpose and dropped: no record is kept.
+        """
         if name == "ids":
             return list(self.ids)
+        if name == "texts":
+            with self._lock:
+                return [
+                    ModelCard(**json.loads(self._entry(row))["card"]).text()
+                    for row in range(len(self))
+                ]
         return _unpack(*self._columns[name])
 
-    def packed(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Column ``name`` as stored: its UTF-8 blob and int64 offsets."""
-        return self._columns[name]
+    def packed(self, name: str) -> Packed:
+        """Column ``name`` as a UTF-8 blob and int64 offsets: as stored
+        for ``ids`` and ``digests``, packed afresh for ``texts``."""
+        if name in self._columns:
+            return self._columns[name]
+        return pack_strings(self.column(name))
+
+    def column_digest(self, name: str) -> str:
+        """The stored :func:`column_digest` of column ``name``."""
+        return self._column_digests[name]
 
     def record(self, row: int) -> ModelRecord:
         """The record of row ``row``, decoded on first use."""
@@ -206,10 +242,20 @@ def _pack(chunks: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(b"".join(chunks), dtype=np.uint8), _bounds(chunks)
 
 
-def pack_strings(values: Iterable[str]) -> Tuple[np.ndarray, np.ndarray]:
+def pack_strings(values: Iterable[str]) -> Packed:
     """``values`` as a table stores a string column: a UTF-8 blob plus
     their ``len(values) + 1`` int64 offsets into it."""
     return _pack([value.encode("utf-8", "surrogatepass") for value in values])
+
+
+def column_digest(packed: Packed) -> str:
+    """sha256 of a packed string column: its row count, its offsets
+    and its blob, so the column parses one way only."""
+    blob, offsets = packed
+    digest = hashlib.sha256(len(offsets).to_bytes(8, "little"))
+    digest.update(np.asarray(offsets, dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(blob, dtype=np.uint8).data)
+    return digest.hexdigest()
 
 
 def _unpack(blob: np.ndarray, offsets: np.ndarray) -> List[str]:
@@ -241,12 +287,16 @@ def write_table(
             [entry["created_at"] for entry in entries], dtype=np.int64
         ),
     }
-    for name, values in (
-        ("ids", (entry["model_id"] for entry in entries)),
-        ("digests", (entry["weights_digest"] for entry in entries)),
-        ("texts", texts),
-    ):
-        members[name], members[f"{name}_offsets"] = pack_strings(values)
+    packed = {
+        "ids": pack_strings(entry["model_id"] for entry in entries),
+        "digests": pack_strings(entry["weights_digest"] for entry in entries),
+        "texts": pack_strings(texts),
+    }
+    for name in ("ids", "digests"):
+        members[name], members[f"{name}_offsets"] = packed[name]
+    members["column_sha256"] = np.array(
+        [column_digest(packed[name]) for name in _DIGESTED]
+    )
     raw = [json.dumps(entry, separators=(",", ":")).encode() for entry in entries]
     members["entries"], members["entry_blocks"] = _pack([
         zlib.compress(b"".join(raw[start:start + _BLOCK]))
@@ -265,7 +315,9 @@ def read_table(path: str, key: str) -> Optional[RecordTable]:
     rows = len(created)
     if any(
         len(arrays[f"{name}_offsets"]) != rows + 1 for name in _STRING_COLUMNS
-    ) or len(arrays["entry_blocks"]) != -(-rows // _BLOCK) + 1:
+    ) or len(arrays["entry_blocks"]) != -(-rows // _BLOCK) + 1 or (
+        arrays["column_sha256"].shape != (len(_DIGESTED),)
+    ):
         return None
     sharded, prefix_len = arrays["layout"].tolist()
     return RecordTable(
@@ -276,8 +328,9 @@ def read_table(path: str, key: str) -> Optional[RecordTable]:
         ids=_unpack(arrays["ids"], arrays["ids_offsets"]),
         columns={
             name: (arrays[name], arrays[f"{name}_offsets"])
-            for name in ("ids", "digests", "texts")
+            for name in ("ids", "digests")
         },
+        column_digests=dict(zip(_DIGESTED, arrays["column_sha256"].tolist())),
         entries=arrays["entries"],
         entry_offsets=arrays["entries_offsets"],
         entry_blocks=arrays["entry_blocks"],

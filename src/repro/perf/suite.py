@@ -10,8 +10,9 @@ runs.
 Each benchmark also checks the guarantee its fast path must keep (a
 parallel lake equals the sequential one, a sharded save equals a flat
 one, a fresh lake fscks clean, mmap reads stay out of core, a warm
-engine build keeps no embedding space in memory, the lint cache
-invalidates exactly) and raises ``AssertionError`` when it breaks.
+engine build keeps no embedding space in memory and allocates little
+beyond its one matrix, the lint cache invalidates exactly) and raises
+``AssertionError`` when it breaks.
 
 Wall-clock metrics get generous tolerances (shared CI hardware jitters
 by tens of percent); the regression gate is meant to catch the 2x
@@ -20,12 +21,14 @@ by tens of percent); the regression gate is meant to catch the 2x
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
 import tempfile
 import time
-from typing import Callable, Dict
+import tracemalloc
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -160,12 +163,92 @@ def bench_search(mode: str) -> Dict[str, float]:
 
         sweep()  # warm the engine's caches before measuring
         query_seconds = _best_of(repeats, sweep)
+    with tempfile.TemporaryDirectory() as directory:
+        peak, bound = warm_gather_peak(directory)
+    if peak > bound:
+        raise AssertionError(
+            f"a warm {GATHER_ROWS}-row embedding index build peaked at "
+            f"{peak} traced bytes, above its bound of {bound} (the matrix, "
+            "two blocks and the digest column): a full-size transient is back"
+        )
     return {
         "cold_build_seconds": round(cold, 3),
         "warm_build_seconds": round(warm, 3),
         "warm_speedup": round(cold / warm, 2) if warm > 0 else float("inf"),
         "query_latency_us": round(query_seconds / len(queries) * 1e6, 1),
     }
+
+
+#: Rows and width of :func:`warm_gather_peak`'s synthetic lake: enough
+#: rows that a full-size transient (the parent of the streamed gather
+#: peaked near 2.5 matrices) cannot hide in the two blocks of slack.
+GATHER_ROWS = 5000
+GATHER_WIDTH = 32
+
+
+class _CachedOnly:
+    """An embedder whose every vector is already cached."""
+
+    space_key = "synthetic"
+
+    def embed(self, model):
+        raise AssertionError("a warm build embedded a model")
+
+
+def warm_gather_peak(
+    directory: str, rows: int = GATHER_ROWS, width: int = GATHER_WIDTH
+) -> Tuple[int, int]:
+    """``(peak, bound)`` traced bytes of one warm ``embedding_index``.
+
+    The lake is opened from a record table of ``rows`` models (ids and
+    24-character weight digests only) and every embedding is in the
+    cache under ``directory``, as on a warm server open.  ``peak`` is
+    what :mod:`tracemalloc` saw allocated at once during the build;
+    ``bound`` is the final matrix's bytes plus two
+    :data:`~repro.index.flat.BLOCK_ROWS`-row blocks plus the digest
+    column's bytes.  Host-independent: it counts bytes asked for, not
+    resident pages.
+    """
+    from repro.core.search.behavioral import embedding_index
+    from repro.index.cache import EmbeddingCache
+    from repro.index.flat import BLOCK_ROWS
+    from repro.lake import ModelLake
+    from repro.lake.shard import ShardLayout
+    from repro.lake.table import read_table, write_table
+
+    digests = [
+        hashlib.sha256(str(row).encode()).hexdigest()[:24] for row in range(rows)
+    ]
+    path = os.path.join(directory, "records.npz")
+    write_table(path, "synthetic", 0, ShardLayout(sharded=True), [], [
+        {"model_id": f"m{row:06d}", "weights_digest": digest, "created_at": row}
+        for row, digest in enumerate(digests)
+    ], [""] * rows)
+    lake = ModelLake()
+    lake.register_table(read_table(path, "synthetic"))
+    seeded = EmbeddingCache(directory)
+    vectors = np.random.default_rng(0).standard_normal((rows, width))
+    for digest, vector in zip(digests, vectors):
+        seeded.put(_CachedOnly.space_key, digest, vector)
+    seeded.flush()
+    del seeded, vectors
+    cache = EmbeddingCache(directory)
+    started = tracemalloc.is_tracing()
+    if not started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        index = embedding_index(lake, _CachedOnly(), cache)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not started:
+            tracemalloc.stop()
+    if len(index) != rows or cache.loaded_spaces:
+        raise AssertionError("the warm gather missed cached embeddings")
+    item = np.dtype(np.float64).itemsize
+    bound = (rows + 2 * BLOCK_ROWS) * width * item + rows * len(digests[0])
+    return peak, bound
 
 
 @register_bench(

@@ -18,11 +18,12 @@ simulates a kill, so — exactly like a real crash — it leaves the tmp
 file behind for ``repro fsck`` to find, while ordinary exceptions clean
 up after themselves.
 
-:func:`read_npz` is the read side for the archives
+:func:`open_npz` is the read side for the archives
 :func:`atomic_write_npz` writes into a lake's ``cache/``: it owns its
-file handle, and any file it cannot read whole (missing, empty, torn,
-not a zip, another layout) comes back as ``None`` for the caller to
-rebuild.
+file handle, hands out each member whole or in row blocks, and turns
+any file it cannot read (missing, empty, torn, not a zip, another
+layout, a damaged member) into a ``None`` archive or a suppressed read
+for the caller to rebuild.  :func:`read_npz` reads every member whole.
 """
 
 from __future__ import annotations
@@ -37,7 +38,17 @@ import struct
 import tempfile
 import zipfile
 import zlib
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import (
+    IO,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 from numpy.lib.npyio import NpzFile
@@ -56,6 +67,8 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_npz",
     "fsync_directory",
+    "NpzMembers",
+    "open_npz",
     "read_npz",
 ]
 
@@ -205,28 +218,139 @@ _NPY_HEADER = re.compile(
 )
 
 
-def _npy_array(raw: bytes) -> np.ndarray:
-    """The array one ``.npy`` member holds, as a read-only view of ``raw``.
+#: What bad archive bytes raise from the readers below.
+_UNREADABLE = (OSError, ValueError, EOFError, struct.error, zlib.error,
+               zipfile.BadZipFile)
+
+
+class _Damaged(Exception):
+    """A member read met bad bytes; :func:`open_npz` makes it a miss."""
+
+
+@contextlib.contextmanager
+def _member_read() -> Iterator[None]:
+    """Re-raise what bad bytes raise as :class:`_Damaged`, so a caller's
+    own error inside :func:`open_npz` is not mistaken for them."""
+    try:
+        yield
+    except _UNREADABLE as exc:
+        raise _Damaged(str(exc)) from exc
+
+
+def _npy_header(read: Callable[[int], bytes]) -> Tuple[np.dtype, Tuple[int, ...]]:
+    """The dtype and shape of the ``.npy`` member whose bytes ``read``
+    yields from the start, leaving ``read`` at the member's data.
 
     Parses the header with a pattern rather than through the archive's
     own member reader, whose ``ast.literal_eval`` leaves reference
-    cycles for the collector on every member, and requires the data to
-    fill the rest of the member exactly.
+    cycles for the collector on every member.
     """
-    if raw[:6] != b"\x93NUMPY":
+    lead = read(10)
+    if lead[:6] != b"\x93NUMPY" or len(lead) != 10:
         raise ValueError("not an .npy member")
-    size_format, start = ("<H", 10) if raw[6] == 1 else ("<I", 12)
-    (length,) = struct.unpack_from(size_format, raw, 8)
-    match = _NPY_HEADER.match(raw[start:start + length].decode("latin-1"))
+    if lead[6] == 1:
+        (length,) = struct.unpack_from("<H", lead, 8)
+    else:
+        (length,) = struct.unpack("<I", lead[8:] + read(2))
+    match = _NPY_HEADER.match(read(length).decode("latin-1"))
     if match is None:
         raise ValueError("unsupported .npy header")
     dtype = np.dtype(match.group(1))
-    shape = tuple(int(dim) for dim in match.group(2).split(",") if dim.strip())
-    offset = start + length
+    if dtype.hasobject:
+        raise ValueError("object member")
+    return dtype, tuple(int(dim) for dim in match.group(2).split(",") if dim.strip())
+
+
+def _npy_array(raw: bytes) -> np.ndarray:
+    """The array one ``.npy`` member holds, as a read-only view of ``raw``;
+    the data must fill the rest of the member exactly."""
+    stream = io.BytesIO(raw)
+    dtype, shape = _npy_header(stream.read)
+    offset = stream.tell()
     count = math.prod(shape)
-    if dtype.hasobject or len(raw) - offset != count * dtype.itemsize:
+    if len(raw) - offset != count * dtype.itemsize:
         raise ValueError("member data does not match its header")
     return np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
+
+
+class NpzMembers:
+    """The members of an archive :func:`open_npz` opened."""
+
+    def __init__(self, archive: zipfile.ZipFile):
+        self._zip = archive
+
+    def read(self, name: str) -> np.ndarray:
+        """Member ``name`` whole, as a read-only array."""
+        with _member_read():
+            return _npy_array(self._zip.read(f"{name}.npy"))
+
+    def row_blocks(
+        self, name: str, rows: int
+    ) -> Tuple[Tuple[int, ...], Iterator[np.ndarray]]:
+        """Member ``name``'s shape, and its rows in blocks.
+
+        The blocks are read-only arrays of ``rows`` consecutive rows
+        each (the last may be shorter), read from the member one at a
+        time.  The member's size and CRC are checked only as the
+        iteration ends, where a damaged member raises; so a block is
+        not known good until the iteration has finished.
+        """
+        with _member_read():
+            handle = self._zip.open(f"{name}.npy")
+            dtype, shape = _npy_header(handle.read)
+            if not shape:
+                handle.close()
+                raise ValueError("a 0-d member has no rows")
+        return shape, _blocks(handle, dtype, shape, rows)
+
+
+def _blocks(
+    handle: IO[bytes], dtype: np.dtype, shape: Tuple[int, ...], rows: int
+) -> Iterator[np.ndarray]:
+    row_bytes = math.prod(shape[1:]) * dtype.itemsize
+    with handle, _member_read():
+        for start in range(0, shape[0], rows):
+            count = min(rows, shape[0] - start)
+            data = handle.read(count * row_bytes)
+            if len(data) != count * row_bytes:
+                raise ValueError("member data is shorter than its header")
+            yield np.frombuffer(data, dtype=dtype).reshape((count,) + shape[1:])
+        # Reading past the end checks the CRC and that nothing trails.
+        if handle.read(1):
+            raise ValueError("member data is longer than its header")
+
+
+@contextlib.contextmanager
+def open_npz(path: str, members: Sequence[str]) -> Iterator[Optional[NpzMembers]]:
+    """The ``.npz`` archive at ``path``, open for reading, or None.
+
+    The archive must hold exactly ``members``, in that order, as
+    :func:`atomic_write_npz` writes them.  A missing file or one with
+    other members is None quietly.  A file that cannot be read (empty,
+    truncated, not a zip, a bare ``.npy``) is None with a warning, and
+    so is a damaged member met inside the ``with`` block: the read is
+    abandoned there, with the warning, and the block's statements after
+    it do not run.  Any other error inside the block is the caller's
+    and propagates.  The handle is closed on every path.
+    """
+    entered = False
+    try:
+        with open(path, "rb") as handle:
+            archive = np.load(handle)  # allow_pickle=False: never unpickles
+            if not isinstance(archive, NpzFile):
+                raise ValueError("not an .npz archive")
+            with archive:
+                entered = True
+                yield NpzMembers(archive.zip) if archive.files == list(members) else None
+    except _Damaged as exc:
+        _log.warning("npz.unreadable", path=path, error=str(exc))
+    except _UNREADABLE as exc:
+        if entered:
+            raise
+        if not isinstance(exc, FileNotFoundError):
+            _log.warning("npz.unreadable", path=path, error=str(exc))
+    if not entered:
+        yield None
 
 
 def read_npz(
@@ -234,28 +358,10 @@ def read_npz(
 ) -> Optional[Dict[str, np.ndarray]]:
     """The arrays of the ``.npz`` archive at ``path``, or None.
 
-    The archive must hold exactly ``members``, in that order, as
-    :func:`atomic_write_npz` writes them; arrays come back read-only.  A
-    missing file or one with other members is None quietly.  A file
-    that cannot be read (empty, truncated, not a zip, a bare ``.npy``,
-    a damaged member) is None with a warning.  The handle is closed on
-    every path.
+    Every member read whole through :func:`open_npz`, whose rules say
+    which files are None; arrays come back read-only.
     """
-    try:
-        with open(path, "rb") as handle:
-            archive = np.load(handle)  # allow_pickle=False: never unpickles
-            if not isinstance(archive, NpzFile):
-                raise ValueError("not an .npz archive")
-            with archive:
-                if archive.files != list(members):
-                    return None
-                return {
-                    name: _npy_array(archive.zip.read(f"{name}.npy"))
-                    for name in members
-                }
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, EOFError, struct.error, zlib.error,
-            zipfile.BadZipFile) as exc:
-        _log.warning("npz.unreadable", path=path, error=str(exc))
-        return None
+    with open_npz(path, members) as archive:
+        if archive is not None:
+            return {name: archive.read(name) for name in members}
+    return None

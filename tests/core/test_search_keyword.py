@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from repro.core.search import BM25Index, SearchEngine, build_card_index
 from repro.core.search import keyword as keyword_module
 from repro.core.search.keyword import TABLE_FILE, corpus_digest
-from repro.lake.table import pack_strings
+from repro.lake.table import column_digest, pack_strings
+from repro.reliability.atomic import atomic_write_npz
 from repro.errors import ConfigError
 from repro.lake import load_lake, save_lake
 from repro.utils.text import simple_tokenize
@@ -154,7 +155,9 @@ def _assert_same_table(got, want):
     """Two indexes hold bit-identical weight tables."""
     assert (got.k1, got.b) == (want.k1, want.b)
     assert got._ids == want._ids
-    assert list(got._rows.items()) == list(want._rows.items())  # row order
+    # Row order: the vocabulary array, sorted, one token per row.
+    assert got._vocab.dtype == want._vocab.dtype
+    assert got._vocab.tobytes() == want._vocab.tobytes()
     assert repr(got._avg_length) == repr(want._avg_length)
     for name in ("_id_rank", "_offsets", "_docs", "_weights"):
         a, b = getattr(got, name), getattr(want, name)
@@ -165,8 +168,9 @@ def _assert_same_table(got, want):
 def _digest(pairs, k1=1.5, b=0.75):
     """The digest naming ``BM25Index(pairs, k1, b)``'s table."""
     texts = dict(pairs)
-    return corpus_digest(pack_strings(texts), pack_strings(texts.values()),
-                         k1, b)
+    return corpus_digest(column_digest(pack_strings(texts)),
+                         column_digest(pack_strings(texts.values())),
+                         len(texts), k1, b)
 
 
 def _cached(pairs, path, k1=1.5, b=0.75):
@@ -186,6 +190,19 @@ def _v1_digest(pairs, k1=1.5, b=0.75):
     )
     digest.update(np.array([len(f) for f in fields], dtype=np.int64).tobytes())
     digest.update("".join(fields).encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
+
+
+def _v2_digest(pairs, k1=1.5, b=0.75):
+    """The digest a version-2 ``bm25.npz`` was saved under: the packed id
+    and text columns themselves, offsets then blob."""
+    texts = dict(pairs)
+    digest = hashlib.sha256(
+        f"bm25 v2 k1={k1!r} b={b!r} n={len(texts)}\n".encode()
+    )
+    for blob, offsets in (pack_strings(texts), pack_strings(texts.values())):
+        digest.update(np.asarray(offsets, dtype="<i8").tobytes())
+        digest.update(blob.tobytes())
     return digest.hexdigest()
 
 
@@ -246,6 +263,72 @@ class TestFrozenTableEquivalence:
             want = repr(reference.query(query, k=len(frozen)))
             assert repr(frozen.query(query, k=len(frozen))) == want
             assert repr(loaded.query(query, k=len(frozen))) == want
+
+
+class TestVocabularyArray:
+    """The sorted ``S<w>`` vocabulary: one ``searchsorted`` per query."""
+
+    def _assert_matches_reference(self, pairs, queries):
+        frozen = BM25Index(pairs)
+        _, loaded = _round_trip(pairs)
+        reference = _reference(pairs)
+        for query in queries:
+            for k in (1, 3, len(frozen) + 1):
+                want = repr(reference.query(query, k))
+                assert repr(frozen.query(query, k)) == want, query
+                assert repr(loaded.query(query, k)) == want, query
+
+    def test_vocabulary_is_sorted_bytes(self):
+        index = BM25Index([("a", "zeta legal court"), ("b", "x9 court")])
+        assert index._vocab.tolist() == [b"court", b"legal", b"x9", b"zeta"]
+        assert index._vocab.dtype == np.dtype("S5")
+
+    def test_non_ascii_text(self):
+        pairs = [
+            ("a", "café naïve résumé court"),
+            ("b", "straße ǅungla court Ｋelvin"),
+            ("c", "日本語 model müller"),
+        ]
+        self._assert_matches_reference(pairs, [
+            "café", "naïve court", "stra ße", "müller model", "日本語 m",
+            "ǅungla", "Ｋelvin elvin",
+        ])
+
+    def test_token_longer_than_the_width_misses(self):
+        pairs = [("a", "legal court"), ("b", "court model")]
+        index = BM25Index(pairs)
+        assert index._vocab.dtype.itemsize == 5
+        # Cast to S5, "legalese" would read "legal".
+        assert index._rows_of(["legalese", "courts", "modelled"]) == []
+        assert index.query("legalese courts") == []
+        self._assert_matches_reference(pairs, [
+            "legalese", "legalese legal", "courtship court",
+        ])
+
+    def test_tokens_before_and_after_every_entry(self):
+        pairs = [("a", "legal court"), ("b", "court model")]
+        index = BM25Index(pairs)
+        assert index._rows_of(["0", "_", "aaa", "zzz", "zzzzz"]) == []
+        self._assert_matches_reference(pairs, [
+            "0 court", "aaa", "zzz legal", "_ model zzzzz", "a",
+        ])
+
+    def test_repeated_query_tokens_sum_in_query_order(self):
+        pairs = [("a", "legal court court"), ("b", "court model legal"),
+                 ("c", "model")]
+        index = BM25Index(pairs)
+        court, legal = index._rows_of(["court", "legal"])
+        assert index._rows_of(["court", "zzz", "legal", "court"]) == [
+            court, legal, court
+        ]
+        self._assert_matches_reference(pairs, [
+            "court court legal court", "model model", "legal court legal",
+        ])
+
+    def test_empty_vocabulary(self):
+        index = BM25Index([("a", "!!"), ("b", "")])
+        assert len(index._vocab) == 0
+        assert index.query("anything at all") == []
 
 
 class TestBuildCardIndex:
@@ -357,8 +440,8 @@ class TestPersistedTable:
         assert from_table._current_table() is not None
         lakes = (in_memory, from_manifest, from_table)
         digests = {
-            corpus_digest(lake.packed_column("ids"),
-                          lake.packed_column("texts"), 1.5, 0.75)
+            corpus_digest(lake.column_digest("ids"),
+                          lake.column_digest("texts"), len(lake), 1.5, 0.75)
             for lake in lakes
         }
         assert digests == {_digest(list(zip(in_memory.model_ids(),
@@ -393,6 +476,32 @@ class TestPersistedTable:
         index = _cached(pairs, path)
         assert len(builds) == 2
         assert self._stored_digest(path) == _digest(pairs)
+        _assert_same_table(_cached(pairs, path), index)
+        assert len(builds) == 2
+
+    def test_version_2_file_is_a_miss_and_rewritten(self, pairs, tmp_path,
+                                                    builds):
+        path = str(tmp_path / TABLE_FILE)
+        built = BM25Index(pairs)
+        assert len(builds) == 1
+        # The version-2 layout: a str vocabulary in first-seen row order.
+        first_seen = list(dict.fromkeys(
+            chain.from_iterable(simple_tokenize(text) for _, text in pairs)
+        ))
+        atomic_write_npz(path, {
+            "digest": np.array(_v2_digest(pairs)),
+            "vocab": np.array(first_seen, dtype=str),
+            "offsets": built._offsets,
+            "docs": built._docs,
+            "weights": built._weights,
+            "avg_length": np.array(built._avg_length),
+        })
+        index = _cached(pairs, path)
+        assert len(builds) == 2
+        assert self._stored_digest(path) == _digest(pairs)
+        _assert_same_table(index, built)
+        with np.load(path) as archive:
+            assert archive["vocab"].dtype.kind == "S"
         _assert_same_table(_cached(pairs, path), index)
         assert len(builds) == 2
 

@@ -1,9 +1,11 @@
 """Tests for the persistent embedding cache and its SearchEngine wiring."""
 
 import errno
+import io
 import os
 import threading
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from repro.core.search.behavioral import embedding_index
 from repro.index import EmbeddingCache
 from repro.index import cache as cache_module
 from repro.index.embedders import WeightStatEmbedder
+from repro.index.flat import BLOCK_ROWS
 from repro.lake import load_lake, save_lake
 from repro.obs import metrics as obs_metrics
 from repro.obs.instrument import (
@@ -136,7 +139,8 @@ class TestCacheFileLayout:
         cache.flush()
         with np.load(tmp_path / "embeddings-space.npz") as archive:
             assert archive.files == ["digests", "vectors"]
-            assert archive["digests"].tolist() == ["aa", "bb"]
+            assert archive["digests"].dtype == np.dtype("S2")
+            assert archive["digests"].tolist() == [b"aa", b"bb"]
             assert archive["vectors"].shape == (2, 3)
             assert archive["vectors"].dtype == np.float64
 
@@ -150,7 +154,7 @@ class TestCacheFileLayout:
         cache.flush()
         with np.load(path) as archive:
             assert archive.files == ["digests", "vectors"]
-            assert archive["digests"].tolist() == ["aa11"]
+            assert archive["digests"].tolist() == [b"aa11"]
         reread = EmbeddingCache(str(tmp_path))
         assert reread.get("space", "aa11").tolist() == [3.0, 3.0]
 
@@ -161,7 +165,8 @@ class TestCacheFileLayout:
         # Rewrite every embedding file in the old one-member-per-digest layout.
         for path in cache_dir.glob("embeddings-*.npz"):
             with np.load(path) as archive:
-                old = dict(zip(archive["digests"].tolist(), archive["vectors"]))
+                old = dict(zip(archive["digests"].astype(str).tolist(),
+                               archive["vectors"]))
             np.savez(path, **old)
         loads = obs_metrics.get_registry().counter(LAKE_MODEL_LOADS)
         before = loads.value
@@ -208,7 +213,7 @@ class TestShardedLakeCache:
         # Move every space into the older per-digest-prefix layout.
         for path in sorted(cache_dir.glob("embeddings-*.npz")):
             with np.load(path) as archive:
-                digests = archive["digests"].tolist()
+                digests = archive["digests"].astype(str).tolist()
                 vectors = archive["vectors"]
             prefix_dir = cache_dir / path.name[: -len(".npz")]
             prefix_dir.mkdir()
@@ -317,13 +322,13 @@ class TestLazyWeightView:
     ):
         LakeSnapshot.open(str(lake_dir)).close()  # writes the cache files
         reads = []
-        real_read = cache_module.read_npz
+        real_open = cache_module.open_npz
 
-        def recording_read(path, members):
+        def recording_open(path, members):
             reads.append(os.path.basename(path))
-            return real_read(path, members)
+            return real_open(path, members)
 
-        monkeypatch.setattr(cache_module, "read_npz", recording_read)
+        monkeypatch.setattr(cache_module, "open_npz", recording_open)
         registry = obs_metrics.get_registry()
         hits = registry.counter(EMBED_CACHE_HITS)
         misses = registry.counter(EMBED_CACHE_MISSES)
@@ -523,6 +528,27 @@ def _counters():
             registry.counter(EMBED_CACHE_MISSES).value)
 
 
+#: Stored row counts around the gather's block edges.
+_BOUNDARY_ROWS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+
+
+@pytest.fixture(scope="module")
+def boundary_dirs(tmp_path_factory):
+    """Row count -> (cache directory whose space ``s`` holds that many
+    rows, its digests in file order)."""
+    dirs = {}
+    for rows in _BOUNDARY_ROWS:
+        directory = str(tmp_path_factory.mktemp(f"rows{rows}"))
+        cache = EmbeddingCache(directory)
+        for index in range(rows):
+            cache.put("s", f"{index * 2654435761 % 2**32:08x}{index:05x}",
+                      np.array([index, -0.5 * index, 1.0 / (index + 1)]))
+        cache.flush()
+        with np.load(os.path.join(directory, "embeddings-s.npz")) as archive:
+            dirs[rows] = (directory, archive["digests"].astype(str).tolist())
+    return dirs
+
+
 class TestGather:
     """``EmbeddingCache.get`` of a digest list: one lookup for them all."""
 
@@ -559,12 +585,11 @@ class TestGather:
             stored, rows = digests[::-1], vectors[::-1]
         else:  # near-misses of every wanted digest
             stored, rows = ["aa1", "bb222", "cc3", "dd45"], vectors
-        np.savez(tmp_path / "embeddings-s.npz", digests=np.array(stored),
-                 vectors=rows)
+        np.savez(tmp_path / "embeddings-s.npz",
+                 digests=np.array(stored, dtype=bytes), vectors=rows)
         truth = dict(zip(stored, rows))
         found = EmbeddingCache(str(tmp_path)).get("s", digests)
-        if column == "foreign":
-            assert found is None
+        if found is None:  # an unsorted column reads as a miss too
             return
         matrix, missed = found
         for position, digest in enumerate(digests):
@@ -594,14 +619,14 @@ class TestGather:
         seeded.flush()
         cache = EmbeddingCache(str(tmp_path))
         entered, release = threading.Event(), threading.Event()
-        real_read = cache_module.read_npz
+        real_open = cache_module.open_npz
 
-        def gated_read(path, members):
+        def gated_open(path, members):
             entered.set()
             release.wait(timeout=10)
-            return real_read(path, members)
+            return real_open(path, members)
 
-        monkeypatch.setattr(cache_module, "read_npz", gated_read)
+        monkeypatch.setattr(cache_module, "open_npz", gated_open)
         gathered = []
         gatherer = threading.Thread(
             target=lambda: gathered.append(cache.get("s", ["aa11"]))
@@ -616,13 +641,132 @@ class TestGather:
         release.set()
         gatherer.join(timeout=10)
         writer.join(timeout=10)
-        monkeypatch.setattr(cache_module, "read_npz", real_read)
+        monkeypatch.setattr(cache_module, "open_npz", real_open)
         matrix, missed = gathered[0]
         assert missed == [] and matrix.tolist() == [[1.0, 1.0]]
         cache.flush()
         reread = EmbeddingCache(str(tmp_path))
         assert reread.get("s", "aa11").tolist() == [1.0, 1.0]
         assert reread.get("s", "bb22").tolist() == [7.0, 7.0]
+
+    @given(st.data(), st.sampled_from(sorted(_BOUNDARY_ROWS)), st.booleans(),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_rows_match_per_digest_get_at_block_boundaries(
+        self, boundary_dirs, data, rows, as_bytes, in_memory
+    ):
+        directory, stored = boundary_dirs[rows]
+        # Rows on either side of every block edge, plus any stored row.
+        edges = [row for row in (0, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                 BLOCK_ROWS + 1, 2 * BLOCK_ROWS, rows - 1)
+                 if row < rows]
+        digests = data.draw(st.lists(st.one_of(
+            st.sampled_from([stored[row] for row in edges]),
+            st.sampled_from(stored),
+            st.sampled_from(["zz000000", "00", stored[1] + "0"]),
+        ), max_size=40))
+        cache = EmbeddingCache(directory)
+        if in_memory:
+            cache.get("s", stored[0])  # loads the space's dict
+        reference = EmbeddingCache(directory)
+        want = [reference.get("s", digest) for digest in digests]
+        wanted = np.array(digests, dtype=bytes) if as_bytes else digests
+        before = _counters()
+        found = cache.get("s", wanted)
+        after = _counters()
+        # As a per-digest get-then-put loop: a repeated miss hits.
+        misses = len({d for d, row in zip(digests, want) if row is None})
+        assert (after[0] - before[0], after[1] - before[1]) == (
+            len(digests) - misses, misses,
+        )
+        if all(row is None for row in want):
+            assert found is None
+            return
+        matrix, missed = found
+        assert missed == [i for i, row in enumerate(want) if row is None]
+        assert matrix.shape == (len(digests), 3)
+        assert matrix.dtype == np.float64 and matrix.flags.writeable
+        for position, row in enumerate(want):
+            expected = np.zeros(3) if row is None else row
+            assert matrix[position].tobytes() == expected.tobytes()
+        assert ("s" in cache.loaded_spaces) == (in_memory or bool(missed))
+
+    def test_whole_space_in_lake_order(self, boundary_dirs):
+        directory, stored = boundary_dirs[2 * BLOCK_ROWS + 1]
+        digests = stored[::-1][:BLOCK_ROWS + 3] + stored[:5] + stored[::7]
+        reference = EmbeddingCache(directory)
+        matrix, missed = EmbeddingCache(directory).get(
+            "s", np.array(digests, dtype=bytes)
+        )
+        assert missed == []
+        assert matrix.tobytes() == np.stack(
+            [reference.get("s", digest) for digest in digests]
+        ).tobytes()
+
+    @pytest.mark.parametrize("damage", [
+        "unsorted", "foreign", "flipped_byte", "truncated_member",
+    ])
+    def test_damaged_file_is_a_miss_with_no_partial_matrix(self, tmp_path,
+                                                           damage):
+        digests = [f"{index:02x}aa{index:04x}" for index in range(40)]
+        vectors = np.arange(40 * 3, dtype=np.float64).reshape(40, 3) + 0.125
+        stored, rows = np.array(digests, dtype=bytes), vectors
+        if damage == "unsorted":
+            stored, rows = stored[::-1], vectors[::-1]
+        elif damage == "foreign":  # near-misses of every wanted digest
+            stored = np.array([d[:-1] + "z" for d in digests], dtype=bytes)
+        path = tmp_path / "embeddings-s.npz"
+        if damage == "truncated_member":
+            # A vectors member holding fewer rows than its header says.
+            payload = io.BytesIO()
+            np.save(payload, vectors)
+            raw = payload.getvalue()[:-3 * 8]
+            with zipfile.ZipFile(path, "w") as archive:
+                with archive.open("digests.npy", "w") as member:
+                    np.save(member, stored)
+                archive.writestr("vectors.npy", raw)
+        else:
+            np.savez(path, digests=stored, vectors=rows)
+        if damage == "flipped_byte":
+            data = bytearray(path.read_bytes())
+            at = data.index(np.float64(20 * 3 + 0.125).tobytes())
+            data[at + 3] ^= 0x10
+            path.write_bytes(bytes(data))
+        before = _counters()
+        cache = EmbeddingCache(str(tmp_path))
+        assert cache.get("s", digests) is None
+        assert cache.get("s", np.array(digests, dtype=bytes)) is None
+        after = _counters()
+        assert after[0] == before[0]  # nothing counted as a hit
+        assert after[1] - before[1] == 2 * len(digests)
+
+    def test_str_digest_column_is_re_embedded_once(self, lake_bundle, probes,
+                                                   tmp_path):
+        lake = lake_bundle.lake
+        cache_dir = tmp_path / "cache"
+        cold = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        # The layout before digests were bytes: a ``str`` column.
+        paths = sorted(cache_dir.glob("embeddings-*.npz"))
+        for path in paths:
+            with np.load(path) as archive:
+                digests = archive["digests"].astype(str)
+                vectors = archive["vectors"]
+            np.savez(path, digests=digests, vectors=vectors)
+        loads = obs_metrics.get_registry().counter(LAKE_MODEL_LOADS)
+        before = loads.value
+        rebuilt = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        assert loads.value - before == len(lake)  # re-embedded once
+        for path in paths:
+            with np.load(path) as archive:
+                assert archive["digests"].dtype.kind == "S"  # rewritten
+        before = loads.value
+        warm = SearchEngine(lake, probes, cache_dir=str(cache_dir))
+        assert loads.value == before
+        assert warm.cache.loaded_spaces == []
+        for engine in (rebuilt, warm):
+            assert repr(engine.search("legal contracts", k=5)) == repr(
+                cold.search("legal contracts", k=5)
+            )
 
     def test_warm_build_keeps_no_space_in_memory(self, lake_bundle, probes,
                                                  tmp_path):
@@ -638,3 +782,17 @@ class TestGather:
         assert rewarm.cache.loaded_spaces == []
         for query in ("legal contracts", "medical notes"):
             assert warm.search(query, k=5) == cold.search(query, k=5)
+
+
+class TestWarmGatherMemory:
+    """A warm build holds the cache's matrix once: its traced peak stays
+    within the matrix, two blocks and the digest column.  Before the
+    gather streamed, the file's matrix, the gathered copy and the
+    normalization's two temporaries peaked near 2.5 matrices."""
+
+    def test_peak_within_matrix_two_blocks_and_digest_column(self, tmp_path):
+        from repro.perf.suite import GATHER_ROWS, warm_gather_peak
+
+        assert GATHER_ROWS >= 5000
+        peak, bound = warm_gather_peak(str(tmp_path))
+        assert peak <= bound, (peak, bound)

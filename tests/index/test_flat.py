@@ -4,9 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import IndexError_
 from repro.index import FlatIndex
+from repro.index.flat import BLOCK_ROWS
 
 
 @pytest.fixture()
@@ -111,3 +114,55 @@ class TestFlatIndexConsistency:
     def test_query_batch_against_empty_index(self):
         assert FlatIndex().query_batch(np.ones((3, 4)), k=5) == [[], [], []]
         assert FlatIndex().query_batch(np.empty((0, 4)), k=5) == []
+
+
+def _one_pass(vectors):
+    """The whole-matrix normalization the blockwise one must equal."""
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    return vectors / norms
+
+
+class TestInPlaceBuild:
+    """``build`` normalizes a copy in place, block by block; ``adopt``
+    normalizes the caller's matrix itself."""
+
+    @given(
+        st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                         2 * BLOCK_ROWS + 1]),
+        st.integers(min_value=1, max_value=70),
+        st.sets(st.integers(min_value=0, max_value=2 * BLOCK_ROWS), max_size=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blockwise_equals_one_pass_bitwise(self, rows, width, zeros, seed):
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((rows, width)) * rng.choice(
+            [1e-200, 1e-3, 1.0, 1e150], size=(rows, 1)
+        )
+        # Zero-norm rows, wherever they fall against the block edges.
+        vectors[[row for row in zeros if row < rows]] = 0.0
+        vectors[rows // 2] *= 1e-13  # below the zero-norm threshold
+        index = FlatIndex()
+        index.build([f"m{i}" for i in range(rows)], vectors)
+        assert index._view[1].tobytes() == _one_pass(vectors).tobytes()
+
+    def test_build_leaves_the_callers_vectors_alone(self, built):
+        _, ids, vectors = built
+        before = vectors.copy()
+        FlatIndex().build(ids, vectors)
+        assert vectors.tobytes() == before.tobytes()
+
+    def test_adopt_normalizes_the_matrix_it_is_handed(self, built):
+        index, ids, vectors = built
+        matrix = vectors.copy()
+        adopted = FlatIndex()
+        adopted.adopt(ids, matrix)
+        assert adopted._view[1] is matrix
+        assert matrix.tobytes() == index._view[1].tobytes()
+        for row in (0, 7, 49):
+            assert adopted.query(vectors[row], k=5) == index.query(vectors[row], k=5)
+
+    def test_adopt_rejects_a_length_mismatch(self):
+        with pytest.raises(IndexError_):
+            FlatIndex().adopt(["a"], np.ones((2, 3)))

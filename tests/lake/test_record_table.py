@@ -200,11 +200,43 @@ class TestEquivalence:
                     assert repr(warm_hits) == repr(decoded_hits)
 
 
+class TestColumnDigests:
+    """The table stores the digest of the card texts, not the texts."""
+
+    def test_card_texts_render_from_entries_keeping_no_record(self, lake_dir):
+        decoded, warm = _warm(lake_dir)
+        table = warm._current_table()
+        assert "texts" not in table._columns
+        assert warm.card_texts() == decoded.card_texts()
+        assert table._decoded == [None] * len(table)
+        assert warm.packed_column("texts")[1].tolist() == (
+            record_table.pack_strings(decoded.card_texts())[1].tolist()
+        )
+        assert table._decoded == [None] * len(table)
+
+    def test_every_lake_gives_the_same_column_digests(self, lake_bundle,
+                                                      lake_dir):
+        decoded, warm = _warm(lake_dir)
+        for name in ("ids", "digests", "texts"):
+            want = record_table.column_digest(
+                record_table.pack_strings(decoded._column(name))
+            )
+            for lake in (lake_bundle.lake, decoded, warm):
+                assert lake.column_digest(name) == want, name
+
+    def test_column_digest_separates_rows(self):
+        digest = record_table.column_digest
+        pack = record_table.pack_strings
+        assert digest(pack(["ab", "c"])) != digest(pack(["a", "bc"]))
+        assert digest(pack(["abc"])) != digest(pack(["abc", ""]))
+        assert digest(pack([])) != digest(pack([""]))
+
+
 class TestCardTextIsPinned:
     def test_golden_card_text(self):
-        # The table's ``texts`` column stores ModelCard.text().  If this
-        # rendering changes, bump repro.lake.table._TABLE_VERSION so that
-        # tables written by older code read as misses.
+        # The table's ``column_sha256`` member hashes ModelCard.text().
+        # If this rendering changes, bump repro.lake.table._TABLE_VERSION
+        # so that tables written by older code read as misses.
         card = ModelCard(
             model_name="lb-00001", description="A model for legal text.",
             intended_use="Tagging court filings.", training_data="statutes",
@@ -225,7 +257,7 @@ class TestCardTextIsPinned:
             "acc 0.912 f1 0.500\n"
             "lakebench x"
         )
-        assert record_table._TABLE_VERSION == 2
+        assert record_table._TABLE_VERSION == 3
 
 
 @pytest.fixture()
@@ -318,6 +350,30 @@ class TestInvalidation:
         atomic.atomic_write_npz(path, arrays)
         assert record_table.read_table(path, _manifest_key(lake_dir)) is None
         self._assert_rebuilt(lake_dir)
+
+    def test_version_2_table_reads_as_miss_and_is_rewritten(self, lake_dir):
+        _warm(lake_dir)
+        path = _table_path(lake_dir)
+        arrays = atomic.read_npz(path, record_table._MEMBERS)
+        lake = load_lake(lake_dir)
+        with open(os.path.join(lake_dir, "manifest.json"), "rb") as handle:
+            sha = hashlib.sha256(handle.read()).hexdigest()
+        # The version-2 layout: the texts stored, no column digests.
+        v2 = {name: arrays[name] for name in record_table._MEMBERS[:5]}
+        v2["key"] = np.array(f"records v2 manifest sha256 {sha}")
+        for name in ("ids", "digests"):
+            v2[name], v2[f"{name}_offsets"] = arrays[name], arrays[f"{name}_offsets"]
+        v2["texts"], v2["texts_offsets"] = record_table.pack_strings(
+            lake.card_texts()
+        )
+        v2["entries"] = arrays["entries"]
+        v2["entries_offsets"] = arrays["entries_offsets"]
+        v2["entry_blocks"] = arrays["entry_blocks"]
+        atomic.atomic_write_npz(path, v2)
+        self._assert_rebuilt(lake_dir)
+        with np.load(path) as archive:
+            assert archive.files == record_table._MEMBERS
+            assert "texts" not in archive.files
 
     def test_newer_table_version_reads_as_miss(self, lake_dir, monkeypatch):
         _warm(lake_dir)

@@ -11,10 +11,12 @@ from repro.reliability import (
     InjectedFault,
     inject_faults,
 )
+from repro.reliability import atomic
 from repro.reliability.atomic import (
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_npz,
+    open_npz,
 )
 from repro.reliability.faults import WRITE_BEGIN, WRITE_DATA, WRITE_RENAME
 
@@ -119,3 +121,74 @@ class TestJsonAndNpz:
         with inject_faults(plan), pytest.raises(InjectedFault):
             atomic_write_npz(path, {"tokens": np.arange(4)})
         assert not os.path.exists(path)
+
+
+class _Events:
+    """Stands in for the module's structured logger; keeps warnings."""
+
+    def __init__(self):
+        self.warnings = []
+
+    def warning(self, event, **fields):
+        self.warnings.append(event)
+
+
+class TestOpenNpz:
+    """Members read whole or in row blocks; bad bytes are a miss, a
+    caller's own error is not."""
+
+    @pytest.fixture()
+    def archive_path(self, tmp_path):
+        path = str(tmp_path / "arrays.npz")
+        atomic_write_npz(path, {
+            "names": np.array([b"aa", b"bb"]),
+            "rows": np.arange(30.0).reshape(10, 3),
+        })
+        return path
+
+    @pytest.mark.parametrize("rows", [1, 3, 10, 11])
+    def test_row_blocks_cover_the_member_in_order(self, archive_path, rows):
+        with open_npz(archive_path, ["names", "rows"]) as archive:
+            whole = archive.read("rows")
+            shape, blocks = archive.row_blocks("rows", rows)
+            got = list(blocks)
+        assert shape == (10, 3)
+        assert [len(block) for block in got[:-1]] == [rows] * (len(got) - 1)
+        assert np.concatenate(got).tobytes() == whole.tobytes()
+
+    def test_other_members_are_a_quiet_none(self, archive_path, monkeypatch):
+        events = _Events()
+        monkeypatch.setattr(atomic, "_log", events)
+        with open_npz(archive_path, ["rows"]) as archive:
+            assert archive is None
+        with open_npz(archive_path + ".missing", ["rows"]) as archive:
+            assert archive is None
+        assert events.warnings == []
+
+    def test_damaged_member_abandons_the_block_with_a_warning(
+        self, archive_path, monkeypatch
+    ):
+        data = bytearray(open(archive_path, "rb").read())
+        at = data.index(np.float64(20.0).tobytes())
+        data[at] ^= 0x01
+        open(archive_path, "wb").write(bytes(data))
+        events = _Events()
+        monkeypatch.setattr(atomic, "_log", events)
+        reached = []
+        with open_npz(archive_path, ["names", "rows"]) as archive:
+            assert archive.read("names").tolist() == [b"aa", b"bb"]
+            _, blocks = archive.row_blocks("rows", 4)
+            for block in blocks:
+                reached.append(len(block))
+            reached.append("after")  # not run: the CRC fails at the end
+        assert "after" not in reached
+        assert events.warnings == ["npz.unreadable"]
+
+    def test_a_callers_own_error_propagates(self, archive_path):
+        with pytest.raises(ValueError, match="caller"):
+            with open_npz(archive_path, ["names", "rows"]) as archive:
+                archive.read("rows")
+                raise ValueError("caller bug")
+        with pytest.raises(ValueError, match="broadcast"):
+            with open_npz(archive_path, ["names", "rows"]) as archive:
+                np.zeros((2, 2))[:] = archive.read("rows")

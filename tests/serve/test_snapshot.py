@@ -155,13 +155,15 @@ class TestWarmOpenWork:
         with LakeSnapshot.open(serve_lake_dir) as snapshot:
             table = snapshot.lake._current_table()
             assert table is not None  # opened from the record table
-            texts_blob = table.packed("texts")[0]
+            # No texts blob at all: BM25's key is the texts' stored digest.
+            assert "texts" not in table._columns
             assert texts == []
+            # Nor a digest decoded to a str: the gather views the blob.
+            digests_blob = table.packed("digests")[0]
+            assert not any(blob is digests_blob for blob in unpacked)
             # One lookup of the whole digest list, none per model.
-            assert [list(digests) for digests in gets] == [
-                snapshot.lake.weight_digests()
-            ]
-            assert not any(blob is texts_blob for blob in unpacked)
+            assert [np.asarray(digests).astype(str).tolist()
+                    for digests in gets] == [snapshot.lake.weight_digests()]
             # One copy of the behavioral matrix: the index's own.
             assert snapshot.engine.cache.loaded_spaces == []
             assert snapshot.engine.search("legal court statute", k=3)
