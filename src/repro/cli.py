@@ -179,10 +179,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_search(args) -> int:
     from repro.core.search import SearchEngine
-    from repro.data.probes import make_text_probes
 
     lake = load_lake(args.dir)
-    engine = SearchEngine(lake, make_text_probes(), cache_dir=_cache_dir(args.dir))
+    engine = SearchEngine(lake, cache_dir=_cache_dir(args.dir))
     hits = engine.search(args.query, k=args.k, method=args.method)
     if not hits:
         print("no results")
@@ -195,10 +194,9 @@ def _cmd_search(args) -> int:
 
 def _cmd_query(args) -> int:
     from repro.core.search import SearchEngine, execute_query
-    from repro.data.probes import make_text_probes
 
     lake = load_lake(args.dir)
-    engine = SearchEngine(lake, make_text_probes(), cache_dir=_cache_dir(args.dir))
+    engine = SearchEngine(lake, cache_dir=_cache_dir(args.dir))
     hits = execute_query(engine, args.q)
     for rank, hit in enumerate(hits, start=1):
         record = lake.get_record(hit.model_id)

@@ -26,7 +26,7 @@ from repro.core.search.behavioral import (
 )
 from repro.core.search.keyword import BM25Index, build_card_index
 from repro.data.datasets import TextDataset
-from repro.data.probes import ProbeSet, make_text_probes
+from repro.data.probes import ProbeSet, cached_text_probes, make_text_probes
 from repro.errors import ConfigError, ModelNotFoundError
 from repro.index.cache import EmbeddingCache
 from repro.index.embedders import WeightStatEmbedder
@@ -83,9 +83,11 @@ class SearchEngine:
     model rehydration and embedding, loading vectors by weight digest
     instead.  The same directory keeps the frozen BM25 table
     (``bm25.npz``), so a rebuild over unchanged cards skips tokenizing
-    them.  Pass an :class:`EmbeddingCache` via ``cache`` to share one
-    across engines (``cache_dir`` is then ignored, and the table lives
-    in that cache's directory).
+    them, and, when no ``probes`` are given, the default text probe set
+    (``probes.npz``), so a warm build never generates it.  Pass an
+    :class:`EmbeddingCache` via ``cache`` to share one across engines
+    (``cache_dir`` is then ignored, and both files live in that cache's
+    directory; an in-memory cache keeps neither).
     """
 
     def __init__(
@@ -99,7 +101,6 @@ class SearchEngine:
         if not 0.0 <= hybrid_alpha <= 1.0:
             raise ConfigError(f"hybrid_alpha must be in [0, 1], got {hybrid_alpha}")
         self.lake = lake
-        self.probes = probes or make_text_probes()
         self.hybrid_alpha = hybrid_alpha
         # One cache file per embedding space on every lake layout: warm
         # start reads every cached vector anyway, so splitting the cache
@@ -107,6 +108,11 @@ class SearchEngine:
         if cache is None and cache_dir is not None:
             cache = EmbeddingCache(cache_dir)
         self.cache = cache
+        if probes is None:
+            probes = (make_text_probes()
+                      if cache is None or cache.directory is None
+                      else cached_text_probes(cache.directory))
+        self.probes = probes
         with trace("search.engine.build", models=len(lake)):
             self.keyword_index: BM25Index = build_card_index(
                 lake, cache.directory if cache is not None else None

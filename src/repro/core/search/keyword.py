@@ -6,11 +6,15 @@ is a strong baseline.  Its failure mode is the paper's motivation: it
 can only ever be as good as the cards.
 
 The index is frozen at construction: one vectorized pass turns the
-corpus into a per-term weight table (row offsets, int32 doc positions,
-float64 BM25 weights), and a query adds the rows of its tokens into one
-dense score vector.  Each weight is computed with the textbook
-expression and each doc's score sums its terms' weights in query-token
-order, so scores are bit-identical to a per-posting dict scorer.
+corpus into a per-term postings table (row offsets, then each posting's
+doc position and term frequency in the narrowest unsigned dtypes that
+hold them) plus a float64 idf per row and length norm per doc.  A query
+computes the BM25 weights of its tokens' rows from those, with the
+textbook expression's operations in its order, and adds them into one
+dense score vector in query-token order, so scores are bit-identical to
+a per-posting dict scorer.  A posting costs 3 bytes, not the 12 of an
+int32 position and a float64 weight, on any lake of at most 65,536 docs
+whose cards repeat no token 256 times.
 
 Rows are numbered in sorted-token order, and the vocabulary is kept as
 one sorted array of the tokens' ASCII bytes (``S<w>``, ``w`` the
@@ -55,9 +59,16 @@ _log = get_logger("search.keyword")
 TABLE_FILE = "bm25.npz"
 #: Part of every corpus digest: bump it when the saved members or their
 #: meaning change, and every older file reads as a miss.
-_TABLE_VERSION = 3
+_TABLE_VERSION = 4
 #: The members of a table file, in the order ``_save`` writes them.
-_MEMBERS = ["digest", "vocab", "offsets", "docs", "weights", "avg_length"]
+_MEMBERS = ["digest", "vocab", "offsets", "docs", "tf", "idf", "length_norm",
+            "avg_length"]
+
+
+def _narrow(values: np.ndarray, top: int) -> np.ndarray:
+    """``values`` (each in ``[0, top]``) in the smallest unsigned dtype
+    that holds ``top``."""
+    return values.astype(np.min_scalar_type(max(top, 0)))
 
 
 def corpus_digest(
@@ -132,28 +143,21 @@ class BM25Index:
         term_of, docs_of = np.divmod(keys, stride)
         del keys
         df = np.bincount(term_of, minlength=len(sorted_vocab))
+        del term_of
         offsets = np.zeros(len(sorted_vocab) + 1, dtype=np.int64)
         np.cumsum(df, out=offsets[1:])
-        doc_positions = docs_of.astype(np.int32)
-        del docs_of
 
-        # BM25 term by term, with the operations of the scalar formula
-        # idf * tf * (k1 + 1) / (tf + k1 * length_norm), idf via math.log;
-        # in-place steps round exactly as the scalar ones do.
+        # The parts of idf * tf * (k1 + 1) / (tf + k1 * length_norm) that
+        # are not per posting: idf per row (via math.log, as the scalar
+        # formula takes it) and the length norm per doc.  A query
+        # combines them with its rows' term frequencies.
         ratios = 1.0 + (num_docs - df + 0.5) / (df + 0.5)
         idf = np.array([math.log(r) for r in ratios.tolist()], dtype=np.float64)
         length_norm = 1.0 - b + b * (doc_lengths / max(avg_length, 1e-9))
-        tf = tf.astype(np.float64)
-        weights = idf[term_of]
-        del term_of
-        weights *= tf
-        weights *= k1 + 1
-        denominator = length_norm[doc_positions]
-        denominator *= k1
-        denominator += tf
-        weights /= denominator
-        self._install(ids, sorted_vocab, offsets, doc_positions, weights,
-                      avg_length)
+        self._install(
+            ids, sorted_vocab, offsets, _narrow(docs_of, num_docs - 1),
+            _narrow(tf, int(tf.max(initial=0))), idf, length_norm, avg_length,
+        )
 
     def _set_params(self, k1: float, b: float) -> None:
         if k1 <= 0 or not 0 <= b <= 1:
@@ -167,20 +171,44 @@ class BM25Index:
         vocab: np.ndarray,
         offsets: np.ndarray,
         docs: np.ndarray,
-        weights: np.ndarray,
+        tf: np.ndarray,
+        idf: np.ndarray,
+        length_norm: np.ndarray,
         avg_length: float,
     ) -> None:
-        """Make a weight table this index's state, built or loaded."""
+        """Make a postings table this index's state, built or loaded."""
         self._ids = ids
         self._id_rank = id_ranks(ids)
         #: Row r's token, as ASCII bytes; sorted, so rows are in token order.
         self._vocab = vocab
         #: Row r spans ``[_offsets[r], _offsets[r + 1])`` of ``_docs``
-        #: (int32 doc positions, ascending within a row) and ``_weights``.
+        #: (doc positions, ascending within a row) and ``_tf`` (the
+        #: token's count in each of those docs); ``_idf[r]`` is its idf.
         self._offsets = offsets
         self._docs = docs
-        self._weights = weights
+        self._tf = tf
+        self._idf = idf
+        #: Per doc: ``1 - b + b * length / avg_length``.
+        self._length_norm = length_norm
         self._avg_length = avg_length
+
+    def table_bytes(self) -> Tuple[int, int]:
+        """``(held, bound)``: the bytes of every array this index keeps,
+        and what :meth:`_install`'s layout allows.
+
+        The bound is 3 bytes per posting (a uint16 doc position and a
+        uint8 term frequency, which hold on a lake of at most 65,536
+        docs whose cards repeat no token 256 times), 16 per row (offset
+        and idf), 16 per doc (length norm and id rank), the final
+        offset and the vocabulary.  Both count array bytes, not
+        resident pages, so they do not depend on the host.
+        """
+        held = sum(value.nbytes for value in vars(self).values()
+                   if isinstance(value, np.ndarray))
+        rows, docs = len(self._vocab), len(self)
+        postings = int(self._offsets[-1])
+        bound = 3 * postings + 16 * rows + 8 + 16 * docs + self._vocab.nbytes
+        return held, bound
 
     @classmethod
     def cached(
@@ -226,8 +254,8 @@ class BM25Index:
         index = cls.__new__(cls)
         index._set_params(k1, b)
         index._install(
-            ids, table["vocab"], table["offsets"], table["docs"],
-            table["weights"], float(table["avg_length"]),
+            ids, table["vocab"], table["offsets"], table["docs"], table["tf"],
+            table["idf"], table["length_norm"], float(table["avg_length"]),
         )
         _log.debug("bm25.loaded", path=path, docs=len(index))
         return index
@@ -238,7 +266,9 @@ class BM25Index:
             "vocab": self._vocab,
             "offsets": self._offsets,
             "docs": self._docs,
-            "weights": self._weights,
+            "tf": self._tf,
+            "idf": self._idf,
+            "length_norm": self._length_norm,
             "avg_length": np.array(self._avg_length, dtype=np.float64),
         })
         _log.debug("bm25.saved", path=path, docs=len(self))
@@ -251,14 +281,31 @@ class BM25Index:
 
         Ties order by doc id.
         """
-        scores = np.zeros(len(self._ids), dtype=np.float64)
+        rows = self._rows_of(simple_tokenize(text))
+        if not rows:
+            return []
+        starts = self._offsets[rows].tolist()
+        stops = self._offsets[np.add(rows, 1)].tolist()
+        # The query's postings, row after row in query-token order.  One
+        # conversion to intp serves every gather by doc position.
+        docs = np.concatenate(
+            [self._docs[a:z] for a, z in zip(starts, stops)], dtype=np.intp
+        )
+        tf = np.concatenate([self._tf[a:z] for a, z in zip(starts, stops)])
+        # idf * tf * (k1 + 1) / (tf + k1 * length_norm), each step
+        # rounding as the scalar formula's does.
+        weights = np.repeat(self._idf[rows], np.subtract(stops, starts))
+        weights *= tf
+        weights *= self.k1 + 1
+        denominator = self._length_norm[docs]
+        denominator *= self.k1
+        denominator += tf
+        weights /= denominator
+        # bincount adds in array order, so each doc's score sums its
+        # terms' weights from 0.0 in query-token order.
+        scores = np.bincount(docs, weights, minlength=len(self._ids))
         touched = np.zeros(len(self._ids), dtype=bool)
-        for row in self._rows_of(simple_tokenize(text)):
-            start, stop = self._offsets[row], self._offsets[row + 1]
-            docs = self._docs[start:stop]
-            # Docs are unique within a row, so the buffered += is exact.
-            scores[docs] += self._weights[start:stop]
-            touched[docs] = True
+        touched[docs] = True
         candidates = np.flatnonzero(touched)
         scores = scores[candidates]
         top = top_k(scores, self._id_rank[candidates], k)

@@ -5,10 +5,17 @@ Behavioral (extrinsic) model embeddings are a model's outputs on a
 that the paper proposes extending to all lake models.  Probes must be
 identical across the lake, so they are derived deterministically from a
 probe-set seed only.
+
+Generating the text probes draws a seeded corpus through
+``numpy.random``, which nothing else on a warm server open uses; so a
+lake keeps them in its cache directory as ``probes.npz``
+(:func:`cached_text_probes`), and a warm open reads them back.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -19,7 +26,25 @@ from repro.data.corpus import CorpusGenerator
 from repro.data.domains import DOMAIN_NAMES
 from repro.data.tokenizer import Tokenizer
 from repro.data.vocab import build_default_vocabulary
+from repro.obs.logging import get_logger
+from repro.reliability.atomic import atomic_write_npz, read_npz
 from repro.utils.rng import derive_rng
+
+_log = get_logger("data.probes")
+
+#: The text probe set's file name inside a cache directory.
+PROBES_FILE = "probes.npz"
+#: The default text probe set's arguments: the set every lake embeds.
+_PROBES_PER_DOMAIN = 4
+_SEQ_LEN = 24
+_SEED = 1234
+#: The probe file's key: bump it whenever ``make_text_probes()``
+#: returns another set (a default, corpus, vocabulary or tokenizer
+#: change), and every older file reads as a miss.  A test pins the
+#: default set's digest, so such a change fails until this moves too.
+_PROBE_VERSION = 1
+#: The members of a probe file, in the order they are written.
+_MEMBERS = ["key", "tokens", "domains"]
 
 
 @dataclass(frozen=True)
@@ -45,9 +70,9 @@ class ProbeSet:
 
 
 def make_text_probes(
-    probes_per_domain: int = 4,
-    seq_len: int = 24,
-    seed: int = 1234,
+    probes_per_domain: int = _PROBES_PER_DOMAIN,
+    seq_len: int = _SEQ_LEN,
+    seed: int = _SEED,
     domain_names: Optional[Sequence[str]] = None,
     tokenizer: Optional[Tokenizer] = None,
 ) -> ProbeSet:
@@ -66,6 +91,37 @@ def make_text_probes(
         domains=tuple(doc.domain for doc in documents),
         seed=seed,
     )
+
+
+def cached_text_probes(cache_dir: str) -> ProbeSet:
+    """``make_text_probes()``, kept in ``<cache_dir>/probes.npz``.
+
+    The file holds the probes' ``tokens`` and ``domains`` under a sha256
+    of :data:`_PROBE_VERSION`.  A missing, foreign, stale or unreadable
+    file, or one whose arrays are not what the generator returns, is
+    regenerated and overwritten atomically; if that write fails (a
+    read-only lake, say) the generated probes are returned all the same.
+    """
+    key = hashlib.sha256(f"text probes v{_PROBE_VERSION}\n".encode()).hexdigest()
+    path = os.path.join(cache_dir, PROBES_FILE)
+    table = read_npz(path, _MEMBERS)
+    if table is not None and table["key"].tolist() == key:
+        tokens, domains = table["tokens"], table["domains"]
+        rows = _PROBES_PER_DOMAIN * len(DOMAIN_NAMES)
+        if (tokens.dtype == np.int64 and tokens.shape == (rows, _SEQ_LEN)
+                and domains.dtype.kind == "U" and domains.shape == (rows,)):
+            return ProbeSet(tokens=tokens, domains=tuple(domains.tolist()),
+                            seed=_SEED)
+    probes = make_text_probes()
+    try:
+        atomic_write_npz(path, {
+            "key": np.array(key),
+            "tokens": probes.tokens,
+            "domains": np.array(probes.domains, dtype=str),
+        })
+    except OSError as exc:
+        _log.warning("probes.save_failed", path=path, error=str(exc))
+    return probes
 
 
 def make_feature_probes(

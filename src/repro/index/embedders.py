@@ -41,20 +41,7 @@ def l2_normalize(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
-class _BatchEmbedMixin:
-    """Shared batch path: embed many models into one matrix.
-
-    The matrix feeds ``FlatIndex.build`` (one vectorized normalize +
-    assignment) instead of per-model ``add`` calls.
-    """
-
-    def embed_all(self, models: Sequence[Module]) -> np.ndarray:
-        if not models:
-            return np.zeros((0, getattr(self, "dim", 0)))
-        return np.stack([self.embed(model) for model in models])
-
-
-class BehavioralEmbedder(_BatchEmbedMixin):
+class BehavioralEmbedder:
     """Competence profile over a shared probe set.
 
     For classifier-style models (anything exposing ``predict_proba``),
@@ -128,7 +115,7 @@ class OutputEmbedder:
         return l2_normalize(model.predict_proba(self.probes.tokens).ravel())
 
 
-class WeightStatEmbedder(_BatchEmbedMixin):
+class WeightStatEmbedder:
     """Fixed-dimension intrinsic embedding from parameter statistics.
 
     Cross-architecture comparable: global weight quantiles, moments,

@@ -184,14 +184,6 @@ class WeightStore:
             return size, digest
         raise LakeError(f"weights not found for digest {digest!r}")
 
-    def blob_size(self, digest: str) -> int:
-        blob = self._blobs.get(digest)
-        if blob is not None:
-            return len(blob)
-        if self._on_disk(digest):
-            return os.path.getsize(self._path(digest))
-        raise LakeError(f"weights not found for digest {digest!r}")
-
     def digests(self):
         return list(self._blobs)
 

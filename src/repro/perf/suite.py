@@ -11,8 +11,9 @@ Each benchmark also checks the guarantee its fast path must keep (a
 parallel lake equals the sequential one, a sharded save equals a flat
 one, a fresh lake fscks clean, mmap reads stay out of core, a warm
 engine build keeps no embedding space in memory and allocates little
-beyond its one matrix, the lint cache invalidates exactly) and raises
-``AssertionError`` when it breaks.
+beyond its one matrix, a warm BM25 table holds 3 bytes per posting, the
+lint cache invalidates exactly) and raises ``AssertionError`` when it
+breaks.
 
 Wall-clock metrics get generous tolerances (shared CI hardware jitters
 by tens of percent); the regression gate is meant to catch the 2x
@@ -136,18 +137,18 @@ def bench_generate(mode: str) -> Dict[str, float]:
 )
 def bench_search(mode: str) -> Dict[str, float]:
     from repro.core.search import SearchEngine
-    from repro.data.probes import make_text_probes
 
     bundle = _build_lake(mode)
-    probes = make_text_probes(probes_per_domain=4, seq_len=24)
     queries = ["legal specialist", "medical fine-tuned", "code model"]
     repeats = 3 if mode == "smoke" else 10
     with tempfile.TemporaryDirectory() as cache_dir:
+        # Built as ``repro serve`` builds it, with no probes: the cold
+        # build writes the probe set to the cache and the warm one reads it.
         start = time.perf_counter()
-        SearchEngine(bundle.lake, probes, cache_dir=cache_dir)
+        SearchEngine(bundle.lake, cache_dir=cache_dir)
         cold = time.perf_counter() - start
         start = time.perf_counter()
-        engine = SearchEngine(bundle.lake, probes, cache_dir=cache_dir)
+        engine = SearchEngine(bundle.lake, cache_dir=cache_dir)
         warm = time.perf_counter() - start
         # A warm build gathers each space's matrix straight from its
         # file; a space left in memory is a second copy of it.
@@ -155,6 +156,13 @@ def bench_search(mode: str) -> Dict[str, float]:
             raise AssertionError(
                 "warm engine build left embedding spaces loaded in the "
                 f"cache: {engine.cache.loaded_spaces}"
+            )
+        held, bound = engine.keyword_index.table_bytes()
+        if held > bound:
+            raise AssertionError(
+                f"the warm BM25 table holds {held} bytes, above its bound of "
+                f"{bound} (3 bytes per posting plus its per-row and per-doc "
+                "arrays): a per-posting weight is back"
             )
 
         def sweep():

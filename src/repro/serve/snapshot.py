@@ -1,13 +1,13 @@
 """Read-only lake snapshots for a long-lived serving process.
 
 A warm open reads only derived files under ``<dir>/cache``: the record
-table (ids, weight digests and card texts, so no record is built until
-a request asks for one), the frozen BM25 table and the behavioral
-embedding matrix.  Each is keyed by what it was derived from, and any
-that is missing, stale or unreadable is rebuilt and rewritten by the
-open.  The weight-statistics matrix is read (or built and written) only
-when a ``related_models(view="weight")`` call first needs it; nothing
-the server answers does.
+table (ids, weight digests and column digests, so no record is built
+until a request asks for one), the frozen BM25 table, the text probe
+set and the behavioral embedding matrix.  Each is keyed by what it was
+derived from, and any that is missing, stale or unreadable is rebuilt
+and rewritten by the open.  The weight-statistics matrix is read (or
+built and written) only when a ``related_models(view="weight")`` call
+first needs it; nothing the server answers does.
 
 A snapshot holds no OS resource: weight blobs are mapped per read and
 the mapping goes away with the caller's arrays (``get_model`` copies
@@ -23,7 +23,6 @@ import os
 from typing import Optional
 
 from repro.core.search.engine import SearchEngine
-from repro.data.probes import make_text_probes
 from repro.lake.persist import load_lake
 from repro.obs.logging import get_logger
 
@@ -49,11 +48,7 @@ class LakeSnapshot:
     def open(cls, directory: str) -> "LakeSnapshot":
         """Open ``directory`` read-only and build the search engine."""
         lake = load_lake(directory, materialize=False)
-        engine = SearchEngine(
-            lake,
-            make_text_probes(),
-            cache_dir=os.path.join(directory, "cache"),
-        )
+        engine = SearchEngine(lake, cache_dir=os.path.join(directory, "cache"))
         _log.info("snapshot.opened", directory=directory, models=len(lake))
         return cls(directory, lake, engine)
 

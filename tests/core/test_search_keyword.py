@@ -159,10 +159,24 @@ def _assert_same_table(got, want):
     assert got._vocab.dtype == want._vocab.dtype
     assert got._vocab.tobytes() == want._vocab.tobytes()
     assert repr(got._avg_length) == repr(want._avg_length)
-    for name in ("_id_rank", "_offsets", "_docs", "_weights"):
+    for name in ("_id_rank", "_offsets", "_docs", "_tf", "_idf",
+                 "_length_norm"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+def _posting_weights(index):
+    """Every posting's BM25 weight, row by row: the float64 ``weights``
+    member of the table files before version 4."""
+    rows = np.repeat(np.arange(len(index._vocab)), np.diff(index._offsets))
+    tf = index._tf.astype(np.float64)
+    weights = index._idf[rows] * tf
+    weights *= index.k1 + 1
+    denominator = index._length_norm[index._docs] * index.k1
+    denominator += tf
+    weights /= denominator
+    return weights
 
 
 def _digest(pairs, k1=1.5, b=0.75):
@@ -204,6 +218,17 @@ def _v2_digest(pairs, k1=1.5, b=0.75):
         digest.update(np.asarray(offsets, dtype="<i8").tobytes())
         digest.update(blob.tobytes())
     return digest.hexdigest()
+
+
+def _v3_digest(pairs, k1=1.5, b=0.75):
+    """The digest a version-3 ``bm25.npz`` was saved under: the version-4
+    formula with the version-3 stamp."""
+    texts = dict(pairs)
+    return hashlib.sha256(
+        f"bm25 v3 k1={k1!r} b={b!r} n={len(texts)} "
+        f"ids={column_digest(pack_strings(texts))} "
+        f"texts={column_digest(pack_strings(texts.values()))}\n".encode()
+    ).hexdigest()
 
 
 def _round_trip(pairs, k1=1.5, b=0.75):
@@ -329,6 +354,79 @@ class TestVocabularyArray:
         index = BM25Index([("a", "!!"), ("b", "")])
         assert len(index._vocab) == 0
         assert index.query("anything at all") == []
+
+
+class TestNarrowPostings:
+    """Doc positions and term frequencies in the narrowest unsigned
+    dtypes that hold them, at each dtype's edge."""
+
+    @staticmethod
+    def _assert_matches_reference(pairs, queries, ks=(1, 5)):
+        index = BM25Index(pairs)
+        _, loaded = _round_trip(pairs)
+        reference = _reference(pairs)
+        for query in queries:
+            for k in ks:
+                want = repr(reference.query(query, k))
+                assert repr(index.query(query, k)) == want, (query, k)
+                assert repr(loaded.query(query, k)) == want, (query, k)
+        return index
+
+    @pytest.mark.parametrize("num_docs, dtype", [
+        (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+        (65537, np.uint32),
+    ])
+    def test_doc_positions(self, num_docs, dtype):
+        # "last" is only in the last doc, at position num_docs - 1.
+        pairs = [(f"d{i:06d}", f"common w{i % 5}") for i in range(num_docs - 1)]
+        pairs.append((f"d{num_docs - 1:06d}", "common w2 last last"))
+        if num_docs < 1000:  # the dict scorer is quadratic in its adds
+            index = self._assert_matches_reference(
+                pairs, ["last", "w2 last", "common last w4"]
+            )
+        else:
+            index = BM25Index(pairs)
+            _, loaded = _round_trip(pairs)
+            # The scalar formula for the one doc holding "last" (tf 2,
+            # 4 tokens; every other doc has 2).
+            k1, b, df, tf = 1.5, 0.75, 1, 2
+            idf = math.log(1.0 + (num_docs - df + 0.5) / (df + 0.5))
+            avg_length = (2 * (num_docs - 1) + 4) / num_docs
+            length_norm = 1.0 - b + b * (4 / max(avg_length, 1e-9))
+            want = [(pairs[-1][0], idf * tf * (k1 + 1) / (tf + k1 * length_norm))]
+            assert repr(index.query("last", 3)) == repr(want)
+            assert repr(loaded.query("last", 3)) == repr(want)
+            for query in ("w2 last", "common last w4"):
+                assert repr(loaded.query(query, 5)) == repr(index.query(query, 5))
+        assert index._docs.dtype == dtype
+        assert int(index._docs.max()) == num_docs - 1
+        assert index.query("last", 3)[0][0] == f"d{num_docs - 1:06d}"
+
+    @pytest.mark.parametrize("repeats, dtype", [(255, np.uint8),
+                                                (256, np.uint16)])
+    def test_term_frequencies(self, repeats, dtype):
+        pairs = [("spam", "legal " * repeats + "court"),
+                 ("plain", "legal court"), ("other", "model court")]
+        index = self._assert_matches_reference(
+            pairs, ["legal", "court legal", "legal legal model"], ks=(1, 3)
+        )
+        assert index._tf.dtype == dtype
+        assert int(index._tf.max()) == repeats
+
+    def test_table_holds_three_bytes_per_posting(self, lake_bundle):
+        index = build_card_index(lake_bundle.lake)
+        postings = len(index._docs)
+        assert index._docs.nbytes + index._tf.nbytes <= 3 * postings
+        assert len(index._tf) == postings
+        assert index._idf.shape == (len(index._vocab),)
+        assert index._length_norm.shape == (len(index),)
+        assert not hasattr(index, "_weights")
+        # The `search` bench's bound holds, and a float64 weight per
+        # posting (the version-3 layout) breaks it.
+        held, bound = index.table_bytes()
+        assert held <= bound
+        index._weights = np.zeros(postings)
+        assert index.table_bytes()[0] > bound
 
 
 class TestBuildCardIndex:
@@ -492,8 +590,8 @@ class TestPersistedTable:
             "digest": np.array(_v2_digest(pairs)),
             "vocab": np.array(first_seen, dtype=str),
             "offsets": built._offsets,
-            "docs": built._docs,
-            "weights": built._weights,
+            "docs": built._docs.astype(np.int32),
+            "weights": _posting_weights(built),
             "avg_length": np.array(built._avg_length),
         })
         index = _cached(pairs, path)
@@ -502,6 +600,30 @@ class TestPersistedTable:
         _assert_same_table(index, built)
         with np.load(path) as archive:
             assert archive["vocab"].dtype.kind == "S"
+        _assert_same_table(_cached(pairs, path), index)
+        assert len(builds) == 2
+
+    def test_version_3_file_is_a_miss_and_rewritten(self, pairs, tmp_path,
+                                                    builds):
+        path = str(tmp_path / TABLE_FILE)
+        built = BM25Index(pairs)
+        assert len(builds) == 1
+        # The version-3 layout: int32 doc positions and float64 weights.
+        atomic_write_npz(path, {
+            "digest": np.array(_v3_digest(pairs)),
+            "vocab": built._vocab,
+            "offsets": built._offsets,
+            "docs": built._docs.astype(np.int32),
+            "weights": _posting_weights(built),
+            "avg_length": np.array(built._avg_length),
+        })
+        index = _cached(pairs, path)
+        assert len(builds) == 2
+        assert self._stored_digest(path) == _digest(pairs)
+        _assert_same_table(index, built)
+        with np.load(path) as archive:
+            assert "weights" not in archive.files
+            assert archive["tf"].dtype == built._tf.dtype
         _assert_same_table(_cached(pairs, path), index)
         assert len(builds) == 2
 
