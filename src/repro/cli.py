@@ -552,6 +552,17 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+def _positive_int(raw: str) -> int:
+    """An argparse type: an integer of at least 1 (else exit 2)."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Model-lake operations"
@@ -647,9 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8484,
                        help="listen port (0 picks a free one)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_positive_int, default=2,
                        help="scoring threads (batches overlap across them)")
-    serve.add_argument("--max-batch", type=int, default=64,
+    serve.add_argument("--max-batch", type=_positive_int, default=64,
                        help="most unique queries in one batch")
     serve.set_defaults(func=_cmd_serve)
 

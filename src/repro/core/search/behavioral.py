@@ -107,13 +107,15 @@ def embedding_index(
     the whole digest list (:meth:`EmbeddingCache.get`); each miss loads
     and embeds the model and stores the result, once per distinct
     digest.  The matrix so made is handed to the index, which normalizes
-    it in place (:meth:`FlatIndex.adopt`).  The index is the same on any
-    on-disk layout: sharding is a storage concern, not a search one.
+    it in place (:meth:`FlatIndex.adopt`), with the lake's id column
+    (:meth:`~repro.lake.lake.ModelLake.id_column`).  The index is the
+    same on any on-disk layout: sharding is a storage concern, not a
+    search one.
     """
     space = embedder.space_key
     digests = _digest_column(lake)
     found = cache.get(space, digests) if cache is not None else None
-    model_ids = lake.model_ids()
+    model_ids = lake.id_column()
     matrix, missed = found if found is not None else (None, range(len(digests)))
     embedded: Dict[Union[str, bytes], np.ndarray] = {}
     vectors: List[np.ndarray] = []

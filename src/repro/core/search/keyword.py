@@ -42,7 +42,16 @@ import math
 import os
 from collections import defaultdict
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -100,9 +109,25 @@ class BM25Index:
         k1: float = 1.5,
         b: float = 0.75,
     ):
-        self._set_params(k1, b)
         texts = dict(docs)
-        ids = list(texts)
+        self._build(list(texts), texts.values(), k1, b)
+
+    @classmethod
+    def _over(
+        cls, ids: Sequence[str], texts: Iterable[str], k1: float = 1.5,
+        b: float = 0.75,
+    ) -> "BM25Index":
+        """The index of distinct ``ids`` with their aligned ``texts``,
+        keeping ``ids`` itself (a lake's id column, with its rank)."""
+        index = cls.__new__(cls)
+        index._build(ids, texts, k1, b)
+        return index
+
+    def _build(
+        self, ids: Sequence[str], texts: Iterable[str], k1: float, b: float
+    ) -> None:
+        """Build the table of distinct ``ids`` and their aligned ``texts``."""
+        self._set_params(k1, b)
         num_docs = len(ids)
         # Token -> term id, numbered in first-seen order: a missing key
         # is assigned the next id as it is looked up.
@@ -116,9 +141,8 @@ class BM25Index:
             return map(vocab.__getitem__, tokens)
 
         terms = np.fromiter(
-            chain.from_iterable(map(term_rows, texts.values())), dtype=np.int32
+            chain.from_iterable(map(term_rows, texts)), dtype=np.int32
         )
-        del texts
         # Renumber the terms as rows in sorted-token order.
         tokens = list(vocab)
         order = sorted(range(len(tokens)), key=tokens.__getitem__)
@@ -167,7 +191,7 @@ class BM25Index:
 
     def _install(
         self,
-        ids: List[str],
+        ids: Sequence[str],
         vocab: np.ndarray,
         offsets: np.ndarray,
         docs: np.ndarray,
@@ -213,7 +237,7 @@ class BM25Index:
     @classmethod
     def cached(
         cls,
-        ids: List[str],
+        ids: Sequence[str],
         digest: str,
         texts: Callable[[], Iterable[str]],
         path: str,
@@ -222,7 +246,7 @@ class BM25Index:
     ) -> "BM25Index":
         """``BM25Index(zip(ids, texts()), k1, b)`` over distinct ``ids``,
         loaded from ``path`` when it holds that table, else built and
-        written to ``path``.
+        written to ``path``.  Either way the index keeps ``ids`` itself.
 
         ``digest`` is the table's :func:`corpus_digest`; the texts
         themselves are asked of ``texts()`` only to build.  A missing,
@@ -232,7 +256,7 @@ class BM25Index:
         """
         index = cls._load(path, digest, ids, k1, b)
         if index is None:
-            index = cls(zip(ids, texts()), k1, b)
+            index = cls._over(ids, texts(), k1, b)
             try:
                 index._save(path, digest)
             except OSError as exc:
@@ -241,7 +265,7 @@ class BM25Index:
 
     @classmethod
     def _load(
-        cls, path: str, digest: str, ids: List[str], k1: float, b: float
+        cls, path: str, digest: str, ids: Sequence[str], k1: float, b: float
     ) -> Optional["BM25Index"]:
         """The table at ``path`` if it was saved under ``digest``, else None.
 
@@ -335,11 +359,12 @@ def build_card_index(lake: ModelLake, cache_dir: Optional[str] = None) -> BM25In
     cards, built and (re)written otherwise (:meth:`BM25Index.cached`).
     The table's key is taken over the digests of the lake's id and text
     columns (:meth:`~repro.lake.lake.ModelLake.column_digest`), so a
-    warm load renders no card text.
+    warm load renders no card text.  The index keeps the lake's id
+    column (:meth:`~repro.lake.lake.ModelLake.id_column`) and its rank.
     """
-    ids = lake.model_ids()
+    ids = lake.id_column()
     if cache_dir is None:
-        return BM25Index(zip(ids, lake.card_texts()))
+        return BM25Index._over(ids, lake.card_texts())
     digest = corpus_digest(
         lake.column_digest("ids"), lake.column_digest("texts"), len(ids)
     )

@@ -26,7 +26,15 @@ BLOCK_ROWS = 1024
 
 def id_ranks(ids: Sequence[str]) -> np.ndarray:
     """Each row's position in id order (a stable sort, so repeated ids
-    keep row order) — the integer tie-break key of the ranking."""
+    keep row order) — the integer tie-break key of the ranking.
+
+    A column that carries its own ``rank`` (a lake's
+    :class:`~repro.lake.table.IdColumn`) hands that over, unsorted and
+    uncopied; any other sequence is sorted here.
+    """
+    rank = getattr(ids, "rank", None)
+    if rank is not None:
+        return rank
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), dtype=np.int64)
     rank[order] = np.arange(len(ids), dtype=np.int64)
@@ -73,7 +81,7 @@ class FlatIndex:
     def __init__(self) -> None:
         # (ids, row-normalized matrix, row -> position of its id in
         # sorted id order: the tie-break key of :func:`top_k`).
-        self._view: Tuple[Tuple[str, ...], np.ndarray, np.ndarray] = (
+        self._view: Tuple[Sequence[str], np.ndarray, np.ndarray] = (
             (), np.empty((0, 0)), np.empty(0, dtype=np.int64)
         )
 
@@ -88,7 +96,11 @@ class FlatIndex:
     def adopt(self, ids: Sequence[str], matrix: np.ndarray) -> None:
         """:meth:`build` without the copy: ``matrix``, a writable float64
         array the caller hands over and no longer uses, is normalized in
-        place and becomes the index's own."""
+        place and becomes the index's own.
+
+        An id column that carries its rank (:func:`id_ranks`) is
+        immutable, and is kept as it is; any other ``ids`` are copied.
+        """
         if len(ids) != len(matrix):
             raise IndexError_(f"{len(ids)} ids but {len(matrix)} vectors")
         for start in range(0, len(matrix), BLOCK_ROWS):
@@ -96,7 +108,8 @@ class FlatIndex:
             norms = np.linalg.norm(block, axis=1, keepdims=True)
             norms[norms < 1e-12] = 1.0
             block /= norms
-        ids = tuple(ids)
+        if getattr(ids, "rank", None) is None:
+            ids = tuple(ids)
         self._view = (ids, matrix, id_ranks(ids))
 
     def query(self, vector: np.ndarray, k: int = 10) -> List[Tuple[str, float]]:

@@ -19,7 +19,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -66,9 +65,12 @@ class ModelLake:
     """
 
     def __init__(self, weight_directory: Optional[str] = None):
-        #: model id -> its record, or, for a lake opened from a record
-        #: table, its row there (the table decodes and keeps the record).
-        self._records: Dict[str, Union[ModelRecord, int]] = {}
+        #: model id -> its record, for every record registered one by
+        #: one: all of an in-memory lake's, and those added to a lake
+        #: opened from a record table after the open.
+        self._records: Dict[str, ModelRecord] = {}
+        #: The record table a warm open registered, which decodes and
+        #: keeps each of its records when first asked for.
         self._table: Optional["RecordTable"] = None
         self._weights = WeightStore(directory=weight_directory)
         self._datasets = DatasetRegistry()
@@ -104,7 +106,7 @@ class ModelLake:
             if model_id is None:
                 serial = next(self._id_counter)
                 model_id = f"m{serial:04d}-{stable_hash([name, weights_digest], length=8)}"
-            if model_id in self._records:
+            if model_id in self:
                 raise DuplicateIdError(f"model id already registered: {model_id!r}")
             self._clock += 1
             record = ModelRecord(
@@ -133,7 +135,7 @@ class ModelLake:
         weights would defeat lazy loading.  The caller owns clock and
         digest bookkeeping.
         """
-        if record.model_id in self._records:
+        if record.model_id in self:
             raise DuplicateIdError(
                 f"model id already registered: {record.model_id!r}"
             )
@@ -148,9 +150,8 @@ class ModelLake:
         is decoded from it when first accessed.  The caller owns clock
         and weight-store bookkeeping, as for :meth:`register_record`.
         """
-        if self._records:
+        if len(self):
             raise LakeError("a record table registers into an empty lake only")
-        self._records = dict(zip(table.ids, range(len(table))))
         self._table = table
         _models_added_counter.inc(len(table))
 
@@ -158,13 +159,19 @@ class ModelLake:
     # Access (with viewpoint visibility rules)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        table = len(self._table) if self._table is not None else 0
+        return table + len(self._records)
 
     def __contains__(self, model_id: str) -> bool:
-        return model_id in self._records
+        return model_id in self._records or (
+            self._table is not None and self._table.ids.find(model_id) >= 0
+        )
 
     def __iter__(self) -> Iterator[ModelRecord]:
-        records = [self.get_record(model_id) for model_id in list(self._records)]
+        records = list(self._records.values())
+        table = self._table
+        if table is not None:
+            records[:0] = [table.record(row) for row in range(len(table))]
         return iter(sorted(records, key=lambda r: r.created_at))
 
     def _current_table(self) -> Optional["RecordTable"]:
@@ -174,8 +181,7 @@ class ModelLake:
         the count; after either, the columns are no longer trusted.
         """
         table = self._table
-        if (table is not None and table.clock == self._clock
-                and len(table) == len(self._records)):
+        if table is not None and table.clock == self._clock and not self._records:
             return table
         return None
 
@@ -190,6 +196,17 @@ class ModelLake:
     def model_ids(self) -> List[str]:
         """Every model id, in iteration (``created_at``) order."""
         return self._column("ids")
+
+    def id_column(self) -> Sequence[str]:
+        """Every model id, in iteration order, for an index to keep.
+
+        A lake opened from a current record table hands out the table's
+        own immutable :class:`~repro.lake.table.IdColumn`, decoding
+        nothing; the indexes an engine builds over it share the column
+        and its id rank.  Any other lake gives :meth:`model_ids`.
+        """
+        table = self._current_table()
+        return table.ids if table is not None else self.model_ids()
 
     def weight_digests(self) -> List[str]:
         """Every record's weight digest, aligned with :meth:`model_ids`."""
@@ -230,13 +247,13 @@ class ModelLake:
         return column_digest(self.packed_column(name))
 
     def get_record(self, model_id: str) -> ModelRecord:
-        try:
-            record = self._records[model_id]
-        except KeyError:
-            raise ModelNotFoundError(model_id) from None
-        if isinstance(record, int):
-            return self._table.record(record)
-        return record
+        record = self._records.get(model_id)
+        if record is not None:
+            return record
+        row = self._table.ids.find(model_id) if self._table is not None else -1
+        if row < 0:
+            raise ModelNotFoundError(model_id)
+        return self._table.record(row)
 
     def get_model(self, model_id: str, force: bool = False) -> "Module":
         """Rehydrate a model's Module from stored weights (intrinsics).

@@ -55,7 +55,7 @@ import os
 import threading
 from collections import Counter
 from dataclasses import asdict
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -297,7 +297,9 @@ def _load_datasets(lake: ModelLake, directory: str, datasets: List[Dict]) -> Non
                 )
 
 
-def _check_clock(lake: ModelLake, created: Sequence[int]) -> None:
+def _check_clock(
+    lake: ModelLake, created: Union[Sequence[int], np.ndarray]
+) -> None:
     """Refuse a lake whose restored clock would mint a duplicate timestamp.
 
     ``lake.clock`` holds the clock read from disk and ``created`` every
@@ -305,7 +307,19 @@ def _check_clock(lake: ModelLake, created: Sequence[int]) -> None:
     the clock, so the timestamps must be unique and the clock must
     dominate all of them; otherwise the next ``add_model()`` would
     duplicate an existing record's, silently breaking citation ordering.
+
+    A record table's int64 ``created`` column is checked in place: its
+    rows are in ``created_at`` order, so unique means strictly
+    increasing, and the newest is the last.  Only a column that fails
+    is converted, to name the fault as a list would.
     """
+    if isinstance(created, np.ndarray):
+        # min() of np.diff, as the embedding gather takes it: the
+        # server maps no numpy code for this check alone.
+        if len(created) > 1 and np.diff(created).min() <= 0:
+            _check_clock(lake, created.tolist())
+            raise LakeError("record table rows are not in created_at order")
+        created = created[-1:].tolist()
     if len(set(created)) != len(created):
         duplicates = sorted(
             value for value, count in Counter(created).items() if count > 1
@@ -348,10 +362,12 @@ def _load_v2(
 def _open_table(
     lake: ModelLake, directory: str, table: RecordTable, materialize: bool
 ) -> None:
-    """Warm load: every record registered from the table, none decoded."""
+    """Warm load: every record registered from the table, none decoded,
+    and the stored timestamps checked against the stored clock."""
     _attach_weights(lake, directory, table.layout)
     lake.register_table(table)
     lake._clock = table.clock
+    _check_clock(lake, table.created)
     if materialize:
         for digest in table.column("digests"):
             lake.weights.materialize(digest)
@@ -447,7 +463,6 @@ def load_lake(directory: str, materialize: bool = False) -> ModelLake:
         )
         if table is not None:
             _open_table(lake, directory, table, materialize)
-            _check_clock(lake, table.created.tolist())
             datasets = table.datasets
         else:
             with open(manifest_path, "rb") as handle:

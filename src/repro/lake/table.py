@@ -9,6 +9,8 @@ card texts, and one record's metadata per ``/model`` request.
 
 * ``ids``, ``digests`` — model ids and weight digests, in
   ``created_at`` order, each a UTF-8 blob plus ``<name>_offsets``;
+  ``ids_order`` lists the rows in ``str`` order of their ids (Python's
+  ``sorted`` at write time, in the narrowest unsigned dtype);
 * ``column_sha256`` — the :func:`column_digest` of the ``ids``,
   ``digests`` and ``texts`` columns, ``texts`` being the
   :meth:`ModelCard.text` renderings (BM25's documents).  The texts
@@ -23,7 +25,14 @@ card texts, and one record's metadata per ``/model`` request.
   needs besides the records: the timestamps the clock check reads, the
   logical clock, the shard layout and the manifest's dataset section.
 
-An open table stays packed: only ``ids`` is decoded up front, the
+An open table stays packed, and on disk: every member is checked
+(size and CRC) and then served as a read-only view of one mapping of
+the file, which pins its inode and holds no descriptor, so an atomic
+replace of the file after the open changes nothing the table decodes,
+and the pages of the ``entries`` no request asks for are never read.
+No id is decoded up front: the ids are one :class:`IdColumn` over the
+``ids`` blob and ``ids_order``, which decodes an id when a hit or a
+lookup asks for it, and whose id rank the lake's indexes share.  The
 ``digests`` column is decoded on each :meth:`RecordTable.column` call,
 and the entries stay compressed but for the one block last read.
 :meth:`RecordTable.packed` hands out a string column's blob and
@@ -36,27 +45,33 @@ The ``key`` member is the sha256 of the manifest bytes plus
 :data:`_TABLE_VERSION`, so any change to the manifest, or to the code
 that derives a column, turns the file into a miss.  A table is only
 written after a full load of those exact bytes passed every check, and
-a hit re-runs the clock check on the stored timestamps.
+a hit re-runs the clock check on the stored timestamps (in place: they
+must increase strictly, and the last must not pass the clock).
 
 The manifest stays the lake's only source of truth: the table lives in
 ``cache/`` (which ``fsck`` ignores), can be deleted at any time, and is
-rewritten by the next load.
+rewritten by the next load.  While a lake is open, the file may only be
+deleted or replaced by a rename (as :func:`write_table` does), never
+written in place: an open table reads its pages from the mapping, and
+a page cut off by a truncation kills the process with ``SIGBUS``.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
+import operator
 import threading
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.lake.card import ModelCard
 from repro.lake.record import ModelHistory, ModelRecord
 from repro.lake.shard import ShardLayout
-from repro.reliability.atomic import atomic_write_npz, read_npz
+from repro.reliability.atomic import atomic_write_npz, map_npz
 from repro.transforms.base import TransformRecord
 
 #: The table's file name inside a lake's cache directory.
@@ -65,7 +80,7 @@ TABLE_FILE = "records.npz"
 #: Part of every key.  Bump it when the members or their meaning change,
 #: and when :meth:`ModelCard.text` renders differently (the ``texts``
 #: digest is derived by it), so every older file reads as a miss.
-_TABLE_VERSION = 3
+_TABLE_VERSION = 4
 
 #: Entries per zlib block of the ``entries`` column.
 _BLOCK = 64
@@ -84,7 +99,7 @@ _MEMBERS = ["key", "clock", "layout", "datasets", "created"] + [
     member
     for column in _STRING_COLUMNS
     for member in (column, f"{column}_offsets")
-] + ["entry_blocks", "column_sha256"]
+] + ["ids_order", "entry_blocks", "column_sha256"]
 
 #: A string column packed as a UTF-8 blob plus int64 offsets.
 Packed = Tuple[np.ndarray, np.ndarray]
@@ -137,6 +152,78 @@ def record_from_entry(entry: Dict) -> ModelRecord:
     )
 
 
+def id_order(ids: Sequence[str]) -> np.ndarray:
+    """The rows of ``ids`` in ``str`` order of their ids (a stable
+    Python sort, so exact for any code points), in the narrowest
+    unsigned dtype that holds a row number."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return np.array(order, dtype=np.min_scalar_type(max(len(ids) - 1, 0)))
+
+
+class IdColumn(Sequence[str]):
+    """An immutable column of distinct model ids, packed, that decodes
+    an id only when one is asked for.
+
+    Row ``i`` is bytes ``offsets[i]:offsets[i + 1]`` of ``blob`` (UTF-8,
+    surrogates passed through).  ``order`` lists the rows in ``str``
+    order of their ids (:func:`id_order`), so :attr:`rank` -- each
+    row's position in that order, the tie-break key of every ranked
+    search -- is one scatter, and a lookup by id is a binary search of
+    about ``log2(n)`` decodes.  A record table's column is read-only
+    views of the table file's mapping.
+    """
+
+    def __init__(self, blob: np.ndarray, offsets: np.ndarray, order: np.ndarray):
+        self._blob = blob
+        self._offsets = offsets
+        # Indexing a memoryview gives a Python int, with none of a
+        # numpy scalar's overhead: one decode per hit matters.
+        self._bytes = memoryview(blob)
+        self._bounds = memoryview(offsets)
+        self._sorted = memoryview(order)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order), dtype=np.int64)
+        rank.flags.writeable = False
+        #: Row -> position of its id in sorted id order.
+        self.rank = rank
+
+    def __len__(self) -> int:
+        return len(self._sorted)
+
+    def __getitem__(self, row: int) -> str:
+        row = operator.index(row)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("id column row out of range")
+        return str(
+            self._bytes[self._bounds[row]:self._bounds[row + 1]],
+            "utf-8", "surrogatepass",
+        )
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_unpack(self._blob, self._offsets))
+
+    def __contains__(self, model_id: object) -> bool:
+        return self.find(model_id) >= 0
+
+    def find(self, model_id: object) -> int:
+        """The row holding ``model_id``, or -1."""
+        if not isinstance(model_id, str):
+            return -1
+        position = bisect.bisect_left(self._sorted, model_id, key=self.__getitem__)
+        if position < len(self) and self[self._sorted[position]] == model_id:
+            return self._sorted[position]
+        return -1
+
+    def index(self, model_id: object) -> int:  # type: ignore[override]
+        """The row holding ``model_id``; ValueError when none does."""
+        row = self.find(model_id)
+        if row < 0:
+            raise ValueError(f"{model_id!r} is not in the id column")
+        return row
+
+
 class RecordTable:
     """A loaded record table: the columns, and records decoded on demand.
 
@@ -151,7 +238,7 @@ class RecordTable:
         layout: ShardLayout,
         datasets: List[Dict],
         created: np.ndarray,
-        ids: List[str],
+        ids: IdColumn,
         columns: Dict[str, Packed],
         column_digests: Dict[str, str],
         entries: np.ndarray,
@@ -173,7 +260,8 @@ class RecordTable:
         # The last block decompressed, so a walk in row order
         # decompresses each block once.
         self._block: Tuple[int, bytes] = (-1, b"")
-        self._decoded: List[Optional[ModelRecord]] = [None] * len(ids)
+        #: Row -> its record, for the rows decoded so far.
+        self._decoded: Dict[int, ModelRecord] = {}
         # Two threads asking for the same row must get the same record,
         # or a change made through one copy would be lost.
         self._lock = threading.Lock()
@@ -187,8 +275,6 @@ class RecordTable:
         ``texts`` is rendered from the entries, each decoded for the
         purpose and dropped: no record is kept.
         """
-        if name == "ids":
-            return list(self.ids)
         if name == "texts":
             with self._lock:
                 return [
@@ -210,10 +296,10 @@ class RecordTable:
 
     def record(self, row: int) -> ModelRecord:
         """The record of row ``row``, decoded on first use."""
-        record = self._decoded[row]
+        record = self._decoded.get(row)
         if record is None:
             with self._lock:
-                record = self._decoded[row]
+                record = self._decoded.get(row)
                 if record is None:
                     record = record_from_entry(json.loads(self._entry(row)))
                     self._decoded[row] = record
@@ -294,6 +380,7 @@ def write_table(
     }
     for name in ("ids", "digests"):
         members[name], members[f"{name}_offsets"] = packed[name]
+    members["ids_order"] = id_order([entry["model_id"] for entry in entries])
     members["column_sha256"] = np.array(
         [column_digest(packed[name]) for name in _DIGESTED]
     )
@@ -306,9 +393,25 @@ def write_table(
     atomic_write_npz(path, {name: members[name] for name in _MEMBERS})
 
 
+def _indexable(arrays: Dict[str, np.ndarray]) -> bool:
+    """Whether the id column's offsets and order are aligned native
+    integers, as a memoryview indexes them (they are unless the file
+    was written on a host of the other byte order, or not by
+    :func:`~repro.reliability.atomic.atomic_write_npz`)."""
+    offsets, order = arrays["ids_offsets"], arrays["ids_order"]
+    return (offsets.dtype == np.int64 and order.dtype.kind == "u"
+            and order.dtype.isnative and offsets.flags.aligned
+            and order.flags.aligned)
+
+
 def read_table(path: str, key: str) -> Optional[RecordTable]:
-    """The table at ``path`` if it was written under ``key``, else None."""
-    arrays = read_npz(path, _MEMBERS)
+    """The table at ``path`` if it was written under ``key``, else None.
+
+    Every member is checked whole (:func:`~repro.reliability.atomic.map_npz`)
+    and then served from one read-only mapping of the file, so the
+    ``entries`` a search never decodes are never read into memory.
+    """
+    arrays = map_npz(path, _MEMBERS)
     if arrays is None or arrays["key"].tolist() != key:
         return None
     created = arrays["created"]
@@ -317,7 +420,7 @@ def read_table(path: str, key: str) -> Optional[RecordTable]:
         len(arrays[f"{name}_offsets"]) != rows + 1 for name in _STRING_COLUMNS
     ) or len(arrays["entry_blocks"]) != -(-rows // _BLOCK) + 1 or (
         arrays["column_sha256"].shape != (len(_DIGESTED),)
-    ):
+    ) or len(arrays["ids_order"]) != rows or not _indexable(arrays):
         return None
     sharded, prefix_len = arrays["layout"].tolist()
     return RecordTable(
@@ -325,7 +428,7 @@ def read_table(path: str, key: str) -> Optional[RecordTable]:
         layout=ShardLayout(sharded=bool(sharded), prefix_len=prefix_len),
         datasets=json.loads(arrays["datasets"].tobytes()),
         created=created,
-        ids=_unpack(arrays["ids"], arrays["ids_offsets"]),
+        ids=IdColumn(arrays["ids"], arrays["ids_offsets"], arrays["ids_order"]),
         columns={
             name: (arrays[name], arrays[f"{name}_offsets"])
             for name in ("ids", "digests")

@@ -22,6 +22,7 @@ by tens of percent); the regression gate is meant to catch the 2x
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -29,7 +30,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -45,7 +46,7 @@ WALL_CLOCK_TOLERANCE = 1.75
 # and `shard`'s fsck_seconds, lazy_load_seconds and sharded_save_seconds
 # read 0.002-0.03 s in smoke mode, so `--check` cannot flag them at any
 # ratio; in full mode only sharded_save_seconds (~0.06 s) clears the
-# floor.  Resizing them is ROADMAP item 4's job, not a tweak here.
+# floor.  Resizing them is ROADMAP item 6's job, not a tweak here.
 _SMOKE_SPEC = dict(
     num_foundations=2, chains_per_foundation=3, max_chain_depth=1,
     docs_per_domain=12, eval_docs_per_domain=5,
@@ -173,6 +174,7 @@ def bench_search(mode: str) -> Dict[str, float]:
         query_seconds = _best_of(repeats, sweep)
     with tempfile.TemporaryDirectory() as directory:
         peak, bound = warm_gather_peak(directory)
+        check_warm_open_blocks(directory)
     if peak > bound:
         raise AssertionError(
             f"a warm {GATHER_ROWS}-row embedding index build peaked at "
@@ -203,6 +205,101 @@ class _CachedOnly:
         raise AssertionError("a warm build embedded a model")
 
 
+def _synthetic_digests(rows: int) -> List[str]:
+    return [
+        hashlib.sha256(str(row).encode()).hexdigest()[:24] for row in range(rows)
+    ]
+
+
+def _write_synthetic_table(directory: str, rows: int) -> str:
+    """Write a record table of ``rows`` models (ids and 24-character
+    weight digests only) under ``directory``; returns its path."""
+    from repro.lake.shard import ShardLayout
+    from repro.lake.table import write_table
+
+    path = os.path.join(directory, "records.npz")
+    write_table(path, "synthetic", rows, ShardLayout(sharded=True), [], [
+        {"model_id": f"m{row:06d}", "weights_digest": digest, "created_at": row}
+        for row, digest in enumerate(_synthetic_digests(rows))
+    ], [""] * rows)
+    return path
+
+
+def _open_synthetic_table(path: str):
+    """A lake opened from the table at ``path`` by ``load_lake``'s own
+    warm open (weights served from the table's directory, which holds
+    none), with its id column at hand."""
+    from repro.lake import ModelLake
+    from repro.lake.persist import _open_table
+    from repro.lake.table import read_table
+
+    lake = ModelLake()
+    _open_table(lake, os.path.dirname(path), read_table(path, "synthetic"),
+                materialize=False)
+    if "m000000" not in lake or len(lake.id_column()) != len(lake):
+        raise AssertionError("a synthetic record table lost its ids")
+    return lake
+
+
+#: Row counts of :func:`warm_open_blocks_per_row`'s two tables.
+OPEN_ROWS = (1000, 5000)
+
+#: Most retained :mod:`tracemalloc` blocks a warm open may add per row:
+#: well under one, so no per-model Python object is left.
+OPEN_BLOCKS_PER_ROW = 0.01
+
+
+def _warm_open_blocks(directory: str, rows: int) -> int:
+    """Traced blocks a warm open of a ``rows``-row table leaves live."""
+    path = _write_synthetic_table(directory, rows)
+    started = tracemalloc.is_tracing()
+    if not started:
+        tracemalloc.start()
+    # A collection between the two counts would free earlier garbage
+    # and hide blocks the open kept: collect first, then hold it off.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(tracemalloc.take_snapshot().traces)
+        lake = _open_synthetic_table(path)
+        after = len(tracemalloc.take_snapshot().traces)
+    finally:
+        if enabled:
+            gc.enable()
+        if not started:
+            tracemalloc.stop()
+    del lake
+    return after - before
+
+
+def warm_open_blocks_per_row(directory: str) -> float:
+    """Retained :mod:`tracemalloc` blocks per row that a warm open of a
+    synthetic record table adds between :data:`OPEN_ROWS` sizes.
+
+    A warm open that keeps a Python object per model (an id ``str``, a
+    dict entry, an ``int`` row) adds one block or more per row; one
+    that keeps only packed columns adds none.  Host-independent: it
+    counts allocations, not resident pages.
+    """
+    _warm_open_blocks(directory, OPEN_ROWS[0])  # first-use allocations
+    small, large = (_warm_open_blocks(directory, rows) for rows in OPEN_ROWS)
+    return (large - small) / (OPEN_ROWS[1] - OPEN_ROWS[0])
+
+
+def check_warm_open_blocks(directory: str) -> float:
+    """:func:`warm_open_blocks_per_row`, raising unless it is under
+    :data:`OPEN_BLOCKS_PER_ROW` either way."""
+    per_row = warm_open_blocks_per_row(directory)
+    if abs(per_row) >= OPEN_BLOCKS_PER_ROW:
+        raise AssertionError(
+            f"a warm record-table open keeps {per_row:.3f} traced blocks "
+            f"per row between {OPEN_ROWS[0]} and {OPEN_ROWS[1]} rows, not under "
+            f"{OPEN_BLOCKS_PER_ROW}: a per-model Python object is back"
+        )
+    return per_row
+
+
 def warm_gather_peak(
     directory: str, rows: int = GATHER_ROWS, width: int = GATHER_WIDTH
 ) -> Tuple[int, int]:
@@ -220,20 +317,9 @@ def warm_gather_peak(
     from repro.core.search.behavioral import embedding_index
     from repro.index.cache import EmbeddingCache
     from repro.index.flat import BLOCK_ROWS
-    from repro.lake import ModelLake
-    from repro.lake.shard import ShardLayout
-    from repro.lake.table import read_table, write_table
 
-    digests = [
-        hashlib.sha256(str(row).encode()).hexdigest()[:24] for row in range(rows)
-    ]
-    path = os.path.join(directory, "records.npz")
-    write_table(path, "synthetic", 0, ShardLayout(sharded=True), [], [
-        {"model_id": f"m{row:06d}", "weights_digest": digest, "created_at": row}
-        for row, digest in enumerate(digests)
-    ], [""] * rows)
-    lake = ModelLake()
-    lake.register_table(read_table(path, "synthetic"))
+    digests = _synthetic_digests(rows)
+    lake = _open_synthetic_table(_write_synthetic_table(directory, rows))
     seeded = EmbeddingCache(directory)
     vectors = np.random.default_rng(0).standard_normal((rows, width))
     for digest, vector in zip(digests, vectors):

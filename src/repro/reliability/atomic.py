@@ -23,19 +23,25 @@ up after themselves.
 file handle, hands out each member whole or in row blocks, and turns
 any file it cannot read (missing, empty, torn, not a zip, another
 layout, a damaged member) into a ``None`` archive or a suppressed read
-for the caller to rebuild.  :func:`read_npz` reads every member whole.
+for the caller to rebuild.  :func:`read_npz` reads every member whole;
+:func:`map_npz` checks every member the same way and then serves them
+as views of one read-only mapping of the file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import io
 import json
 import math
+import mmap
 import os
 import re
 import struct
 import tempfile
+import weakref
 import zipfile
 import zlib
 from typing import (
@@ -67,6 +73,7 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_npz",
     "fsync_directory",
+    "map_npz",
     "NpzMembers",
     "open_npz",
     "read_npz",
@@ -200,12 +207,44 @@ def atomic_write_json(
     atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
 
 
+#: Member data starts on a multiple of this in an archive
+#: :func:`atomic_write_npz` writes; ``.npy`` headers are padded to it.
+_NPZ_ALIGN = 64
+
+#: The extra-field ID of the local-header padding that aligns a
+#: member's data; readers skip extra fields they do not know.
+_PAD_EXTRA_ID = 0xD935
+
+#: Bytes of the ZIP64 extra field a member opened with ``force_zip64``
+#: carries in its local header (ID, size, and two 8-byte sizes).
+_ZIP64_EXTRA = 20
+
+
 def atomic_write_npz(
     path: str, arrays: Mapping[str, np.ndarray], fsync: bool = True
 ) -> None:
-    """Atomically write a name->array mapping as an ``.npz`` archive."""
+    """Atomically write a name->array mapping as an ``.npz`` archive.
+
+    The archive is what ``np.savez`` writes (one stored ``.npy`` member
+    per array, in order), except that each member's local header is
+    padded with an extra field so that its array data starts on a
+    64-byte boundary of the file: :func:`map_npz` then views every
+    member of the file's mapping aligned, as numpy's fast paths need.
+    """
     buffer = io.BytesIO()
-    np.savez(buffer, **dict(arrays))
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
+        for name, value in arrays.items():
+            info = zipfile.ZipInfo(f"{name}.npy")
+            # A local header is 30 fixed bytes, the name and the extra
+            # field; the .npy header is a multiple of the alignment.
+            pad = -(buffer.tell() + 30 + len(info.filename) + _ZIP64_EXTRA) % _NPZ_ALIGN
+            if pad:
+                pad += _NPZ_ALIGN if pad < 4 else 0
+                info.extra = struct.pack("<HH", _PAD_EXTRA_ID, pad - 4) + bytes(pad - 4)
+            with archive.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.asanyarray(value), allow_pickle=False
+                )
     atomic_write_bytes(path, buffer.getvalue(), fsync=fsync)
 
 
@@ -221,6 +260,54 @@ _NPY_HEADER = re.compile(
 #: What bad archive bytes raise from the readers below.
 _UNREADABLE = (OSError, ValueError, EOFError, struct.error, zlib.error,
                zipfile.BadZipFile)
+
+
+#: Bytes per read of :meth:`NpzMembers.mapped`'s size and CRC check.
+_CHECK_CHUNK = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _libc_map() -> Optional[Tuple[Any, Any]]:
+    """``(mmap, munmap)`` from the C library, or None where there is
+    none to bind (the stdlib mapping is used there)."""
+    try:
+        libc = ctypes.CDLL(None, use_errno=True)
+        map_, unmap = libc.mmap, libc.munmap
+    except (AttributeError, OSError, TypeError):
+        return None
+    map_.restype = ctypes.c_void_p
+    # ``off_t`` is a C long on every LP64 and ILP32 ABI.
+    map_.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
+                     ctypes.c_int, ctypes.c_int, ctypes.c_long)
+    unmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+    return map_, unmap
+
+
+def _map_file(fd: int) -> Any:
+    """A read-only mapping of the whole file open at ``fd`` that keeps
+    no descriptor: the caller closes ``fd``, and the mapping is undone
+    when the last object viewing it is freed.
+
+    The stdlib's ``mmap.mmap`` keeps a duplicate of ``fd`` for the
+    mapping's life, so the C library's ``mmap`` is called directly and
+    the mapping is viewed through a ctypes array whose finalizer unmaps
+    it.  Only where no C library can be bound does the mapping keep a
+    descriptor.
+    """
+    libc = _libc_map()
+    if libc is None:
+        return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    map_, unmap = libc
+    size = os.fstat(fd).st_size
+    address = map_(None, size, mmap.PROT_READ, mmap.MAP_SHARED, fd, 0)
+    if address is None or address == ctypes.c_void_p(-1).value:
+        error = ctypes.get_errno()
+        raise OSError(error, os.strerror(error))
+    view = (ctypes.c_char * size).from_address(address)
+    # Not at exit: an array still in use then would read unmapped
+    # pages, and the process's exit unmaps everything anyway.
+    weakref.finalize(view, unmap, address, size).atexit = False
+    return view
 
 
 class _Damaged(Exception):
@@ -261,28 +348,73 @@ def _npy_header(read: Callable[[int], bytes]) -> Tuple[np.dtype, Tuple[int, ...]
     return dtype, tuple(int(dim) for dim in match.group(2).split(",") if dim.strip())
 
 
-def _npy_array(raw: bytes) -> np.ndarray:
-    """The array one ``.npy`` member holds, as a read-only view of ``raw``;
-    the data must fill the rest of the member exactly."""
-    stream = io.BytesIO(raw)
-    dtype, shape = _npy_header(stream.read)
-    offset = stream.tell()
+def _npy_view(buffer: Any, start: int, size: int) -> np.ndarray:
+    """The array of the ``.npy`` member whose ``size`` bytes begin at
+    ``start`` of ``buffer``, as a view of ``buffer`` (read-only when
+    ``buffer`` is); the data must fill the rest of the member exactly.
+    Only the header's bytes are read."""
+    position = start
+
+    def read(count: int) -> bytes:
+        nonlocal position
+        chunk = bytes(buffer[position:position + count])
+        position += len(chunk)
+        return chunk
+
+    dtype, shape = _npy_header(read)
     count = math.prod(shape)
-    if len(raw) - offset != count * dtype.itemsize:
+    if start + size - position != count * dtype.itemsize:
         raise ValueError("member data does not match its header")
-    return np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
+    return np.frombuffer(
+        buffer, dtype=dtype, count=count, offset=position
+    ).reshape(shape)
 
 
 class NpzMembers:
     """The members of an archive :func:`open_npz` opened."""
 
-    def __init__(self, archive: zipfile.ZipFile):
+    def __init__(self, archive: zipfile.ZipFile, handle: IO[bytes]):
         self._zip = archive
+        self._handle = handle
 
     def read(self, name: str) -> np.ndarray:
         """Member ``name`` whole, as a read-only array."""
         with _member_read():
-            return _npy_array(self._zip.read(f"{name}.npy"))
+            raw = self._zip.read(f"{name}.npy")
+            return _npy_view(raw, 0, len(raw))
+
+    def mapped(self, names: Sequence[str]) -> Dict[str, np.ndarray]:
+        """Members ``names``, each a read-only view of one mapping of the
+        archive's file.
+
+        Every member's size and CRC are checked first, reading it
+        through the file a chunk at a time, so the check keeps no
+        member on the heap and maps no page.  Only stored (uncompressed)
+        members, as :func:`atomic_write_npz` writes them, can be mapped.
+        """
+        with _member_read():
+            infos = [self._zip.getinfo(f"{name}.npy") for name in names]
+            for info in infos:
+                if info.compress_type != zipfile.ZIP_STORED:
+                    raise ValueError(f"member {info.filename} is compressed")
+                with self._zip.open(info) as member:
+                    # The last read checks the size and the CRC.
+                    while member.read(_CHECK_CHUNK):
+                        pass
+            mapping = _map_file(self._handle.fileno())
+            arrays = {}
+            for name, info in zip(names, infos):
+                # A local file header: 30 fixed bytes, then the member's
+                # name and extra field, then its data.
+                name_length, extra_length = struct.unpack_from(
+                    "<HH", mapping, info.header_offset + 26
+                )
+                start = info.header_offset + 30 + name_length + extra_length
+                array = _npy_view(mapping, start, info.file_size)
+                # The pages are mapped read-only: a write would fault.
+                array.flags.writeable = False
+                arrays[name] = array
+            return arrays
 
     def row_blocks(
         self, name: str, rows: int
@@ -341,7 +473,8 @@ def open_npz(path: str, members: Sequence[str]) -> Iterator[Optional[NpzMembers]
                 raise ValueError("not an .npz archive")
             with archive:
                 entered = True
-                yield NpzMembers(archive.zip) if archive.files == list(members) else None
+                yield (NpzMembers(archive.zip, handle)
+                       if archive.files == list(members) else None)
     except _Damaged as exc:
         _log.warning("npz.unreadable", path=path, error=str(exc))
     except _UNREADABLE as exc:
@@ -364,4 +497,21 @@ def read_npz(
     with open_npz(path, members) as archive:
         if archive is not None:
             return {name: archive.read(name) for name in members}
+    return None
+
+
+def map_npz(
+    path: str, members: Sequence[str]
+) -> Optional[Dict[str, np.ndarray]]:
+    """:func:`read_npz`, with every array a read-only view of one
+    read-only mapping of the file (:meth:`NpzMembers.mapped`).
+
+    The file is closed on return; the mapping lives as long as any of
+    the arrays does.  It pins the file's inode, so an atomic replace of
+    ``path`` afterwards changes nothing the arrays hold, and a page
+    nothing reads is never loaded, so it never counts as resident.
+    """
+    with open_npz(path, members) as archive:
+        if archive is not None:
+            return archive.mapped(members)
     return None

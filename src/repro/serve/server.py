@@ -228,6 +228,12 @@ class ServeConfig:
     workers: int = 2
     max_batch: int = 64
 
+    def __post_init__(self) -> None:
+        for name in ("workers", "max_batch"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
 
 class LakeServer:
     """The serving loop: snapshot + batcher + HTTP front end."""
@@ -236,7 +242,7 @@ class LakeServer:
         self.snapshot = snapshot
         self.config = config
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, config.workers),
+            max_workers=config.workers,
             thread_name_prefix="repro-serve",
         )
         self._batcher = MicroBatcher(

@@ -2,16 +2,22 @@
 
 A warm open reads only derived files under ``<dir>/cache``: the record
 table (ids, weight digests and column digests, so no record is built
-until a request asks for one), the frozen BM25 table, the text probe
+and no id decoded until a request asks for one), the frozen BM25 table, the text probe
 set and the behavioral embedding matrix.  Each is keyed by what it was
 derived from, and any that is missing, stale or unreadable is rebuilt
 and rewritten by the open.  The weight-statistics matrix is read (or
 built and written) only when a ``related_models(view="weight")`` call
 first needs it; nothing the server answers does.
 
-A snapshot holds no OS resource: weight blobs are mapped per read and
-the mapping goes away with the caller's arrays (``get_model`` copies
-them into modules), so nothing stays open between requests.  Hot swap
+A snapshot holds one OS resource, a read-only mapping of the record
+table (``cache/records.npz``), and no file descriptor: the table's
+members are views of that mapping, so a ``/model`` request decodes its
+entry from pages that were never read before it asked, and the mapping
+pins the file the open checked even if a later open replaces it (by a
+rename: a write in place would cut pages out from under the server).
+Weight blobs are mapped per read and the mapping goes away with the
+caller's arrays (``get_model`` copies them into modules), so nothing
+else stays open between requests.  Hot swap
 is therefore "open a new snapshot, publish it": requests that raced the
 swap finish against the old snapshot's objects, which are reclaimed
 when the last of them lets go.
@@ -71,9 +77,10 @@ class LakeSnapshot:
     def close(self) -> None:
         """Mark the snapshot closed.  Idempotent.
 
-        Releases no OS resource — the snapshot holds none — and the
-        lake and engine stay readable; it marks the end of the
-        snapshot's service (the server calls it after its drain).
+        Releases nothing — the record table's mapping goes when the
+        last reference to the lake does — and the lake and engine stay
+        readable; it marks the end of the snapshot's service (the
+        server calls it after its drain).
         """
         if self._closed:
             return

@@ -6,9 +6,11 @@ column) changes, and mutations of a warm-loaded lake must show in every
 accessor and in a new :class:`SearchEngine`.
 """
 
+import ctypes
 import errno
 import hashlib
 import json
+import mmap
 import os
 import shutil
 import sys
@@ -208,11 +210,11 @@ class TestColumnDigests:
         table = warm._current_table()
         assert "texts" not in table._columns
         assert warm.card_texts() == decoded.card_texts()
-        assert table._decoded == [None] * len(table)
+        assert table._decoded == {}
         assert warm.packed_column("texts")[1].tolist() == (
             record_table.pack_strings(decoded.card_texts())[1].tolist()
         )
-        assert table._decoded == [None] * len(table)
+        assert table._decoded == {}
 
     def test_every_lake_gives_the_same_column_digests(self, lake_bundle,
                                                       lake_dir):
@@ -257,7 +259,7 @@ class TestCardTextIsPinned:
             "acc 0.912 f1 0.500\n"
             "lakebench x"
         )
-        assert record_table._TABLE_VERSION == 3
+        assert record_table._TABLE_VERSION == 4
 
 
 @pytest.fixture()
@@ -374,6 +376,21 @@ class TestInvalidation:
         with np.load(path) as archive:
             assert archive.files == record_table._MEMBERS
             assert "texts" not in archive.files
+
+    def test_version_3_table_reads_as_miss_and_is_rewritten(self, lake_dir):
+        _warm(lake_dir)
+        path = _table_path(lake_dir)
+        arrays = atomic.read_npz(path, record_table._MEMBERS)
+        with open(os.path.join(lake_dir, "manifest.json"), "rb") as handle:
+            sha = hashlib.sha256(handle.read()).hexdigest()
+        # The version-3 layout: no stored id order.
+        v3 = {name: arrays[name] for name in record_table._MEMBERS
+              if name != "ids_order"}
+        v3["key"] = np.array(f"records v3 manifest sha256 {sha}")
+        atomic.atomic_write_npz(path, v3)
+        self._assert_rebuilt(lake_dir)
+        with np.load(path) as archive:
+            assert archive.files == record_table._MEMBERS
 
     def test_newer_table_version_reads_as_miss(self, lake_dir, monkeypatch):
         _warm(lake_dir)
@@ -553,3 +570,60 @@ class TestMutationsAfterWarmLoad:
         copy = str(tmp_path / "copy")
         shutil.copytree(lake_dir, copy)
         assert load_lake(copy)._table is not None  # keyed by content, not path
+
+
+class TestMappedTable:
+    """An open table serves its members from one read-only mapping."""
+
+    def test_replacing_the_file_after_the_open_changes_no_record(self, lake_dir):
+        decoded, warm = _warm(lake_dir)
+        path = _table_path(lake_dir)
+        ids = decoded.model_ids()
+        # Another lake's table, swapped in atomically as a rewrite would.
+        other = os.path.join(os.path.dirname(lake_dir), "other")
+        _small_lake(other, 70)
+        load_lake(other)
+        with open(_table_path(other), "rb") as handle:
+            atomic.atomic_write_bytes(path, handle.read())
+        assert warm._table._decoded == {}
+        assert warm.model_ids() == ids
+        assert warm.weight_digests() == decoded.weight_digests()
+        assert warm.card_texts() == decoded.card_texts()
+        for model_id in reversed(ids):
+            assert model_id in warm
+            assert _model_payload(warm, model_id) == _model_payload(decoded, model_id)
+
+    def test_members_are_read_only_views_of_one_mapping(self, lake_dir):
+        _, warm = _warm(lake_dir)
+        table = warm._table
+        arrays = [table.created, table._entries, table._entry_offsets,
+                  table._entry_blocks, *table._columns["ids"],
+                  *table._columns["digests"]]
+        bases = set()
+        for array in arrays:
+            assert not array.flags.writeable and array.flags.aligned
+            while isinstance(array, np.ndarray) and array.base is not None:
+                array = array.base
+            if isinstance(array, memoryview):
+                array = array.obj
+            bases.add(id(array))
+        assert len(bases) == 1
+        # The stdlib's mapping, or the C library's seen through ctypes.
+        assert isinstance(array, (mmap.mmap, ctypes.Array))
+
+    def test_a_member_that_fails_its_crc_is_a_miss(self, lake_dir, monkeypatch):
+        _warm(lake_dir)
+        path = _table_path(lake_dir)
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        # Flip one byte inside the entries blob, leaving every header whole.
+        arrays = atomic.read_npz(path, record_table._MEMBERS)
+        needle = arrays["entries"].tobytes()[:32]
+        at = bytes(data).index(needle) + 16
+        data[at] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        events = _Events()
+        monkeypatch.setattr(atomic, "_log", events)
+        assert record_table.read_table(path, _manifest_key(lake_dir)) is None
+        assert events.warnings == ["npz.unreadable"]

@@ -227,3 +227,36 @@ def test_lint_dataflow_raises_on_a_wrong_invalidation_set(tiny_tree, monkeypatch
     monkeypatch.setattr(dataflow, "analyze_dataflow", overeager)
     with pytest.raises(AssertionError, match="one-file edit re-analyzed"):
         suite.bench_lint_dataflow("smoke")
+
+
+class TestWarmOpenBlocks:
+    """A warm open of a record table keeps no Python object per model:
+    the retained traced blocks of a 1,000- and a 5,000-row open differ
+    by under 0.01 a row."""
+
+    def test_retained_blocks_do_not_grow_with_the_rows(self, tmp_path):
+        assert suite.OPEN_ROWS == (1000, 5000)
+        per_row = suite.warm_open_blocks_per_row(str(tmp_path))
+        assert abs(per_row) < suite.OPEN_BLOCKS_PER_ROW, per_row
+
+    def test_a_str_per_row_breaks_the_bound(self, tmp_path, monkeypatch):
+        # The measure must see what the id column replaced: a warm open
+        # that decodes every id to a str keeps about one block a row.
+        from repro.lake import ModelLake
+
+        register = ModelLake.register_table
+
+        def decode_every_id(self, table):
+            register(self, table)
+            self.kept_ids = table.column("ids")
+
+        monkeypatch.setattr(ModelLake, "register_table", decode_every_id)
+        assert suite.warm_open_blocks_per_row(str(tmp_path)) > 0.9
+
+    def test_the_check_raises_when_the_bound_breaks(self, tmp_path, monkeypatch):
+        # ``repro bench``'s search bench runs this check.
+        monkeypatch.setattr(suite, "warm_open_blocks_per_row", lambda _: 1.0)
+        with pytest.raises(AssertionError, match="per-model Python object"):
+            suite.check_warm_open_blocks(str(tmp_path))
+        monkeypatch.setattr(suite, "warm_open_blocks_per_row", lambda _: 0.0)
+        assert suite.check_warm_open_blocks(str(tmp_path)) == 0.0

@@ -12,12 +12,13 @@ import os
 import shutil
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LakeError
-from repro.lake import ModelLake, load_lake, save_lake
+from repro.lake import ModelLake, load_lake, persist, save_lake
 from repro.nn import TextClassifier
 
 
@@ -124,3 +125,29 @@ def test_clock_monotonic_through_any_round_trip(num_models, clock_bumps, reloads
         assert len(set(stamps)) == len(stamps)
     finally:
         shutil.rmtree(directory, ignore_errors=True)
+
+
+class TestTableClockColumn:
+    """A record table's ``created`` column is checked in place, with the
+    messages a list of the same timestamps gets."""
+
+    def _lake(self, clock):
+        lake = ModelLake()
+        lake._clock = clock
+        return lake
+
+    @pytest.mark.parametrize("created, clock, message", [
+        ([1, 1, 2], 5, r"duplicate created_at value\(s\) \[1\] across"),
+        ([1, 2, 2, 3, 3], 5, r"duplicate created_at value\(s\) \[2, 3\] across"),
+        ([1, 2, 6], 5, "clock 5 is behind the newest record .created_at=6."),
+        ([3, 1, 2], 5, "record table rows are not in created_at order"),
+    ])
+    def test_a_bad_column_is_refused_as_a_list_would_be(self, created, clock,
+                                                        message):
+        with pytest.raises(LakeError, match=message):
+            persist._check_clock(self._lake(clock), np.array(created, dtype=np.int64))
+
+    @pytest.mark.parametrize("created", [[], [4], [1, 2, 5]])
+    def test_an_increasing_column_within_the_clock_passes(self, created):
+        persist._check_clock(self._lake(5), np.array(created, dtype=np.int64))
+        persist._check_clock(self._lake(5), created)

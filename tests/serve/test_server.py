@@ -12,6 +12,9 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.errors import ConfigError
+from repro.serve import LakeServer, LakeSnapshot, ServeConfig
+
 #: asyncio's default StreamReader limit: the longest line it will read.
 _STREAM_LIMIT = 64 * 1024
 
@@ -575,3 +578,21 @@ class TestShutdown:
                 conn.getresponse()
             finally:
                 conn.close()
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize("field", ["workers", "max_batch"])
+    @pytest.mark.parametrize("value", [0, -5, 1.5, True, "2"])
+    def test_a_value_below_one_or_not_an_int_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ServeConfig(directory="unused", **{field: value})
+
+    def test_the_server_runs_the_workers_it_reports(self, tmp_path):
+        config = ServeConfig(directory="unused", workers=3, max_batch=1)
+        server = LakeServer(LakeSnapshot("unused", None, engine=None), config)
+        try:
+            assert server._executor._max_workers == 3
+            assert server._batcher._workers == 3
+            assert server._batcher._max_batch == 1
+        finally:
+            server._executor.shutdown()

@@ -366,3 +366,18 @@ class TestBenchCLI:
         assert document["result"]["bench"] == "fake"
         assert document["check"]["passed"] is True
         assert document["check"]["baseline_count"] == 1
+
+
+class TestServeArguments:
+    """``serve --workers`` and ``--max-batch`` below 1 are refused at
+    parse time, before any lake is opened."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--workers", "-1"), ("--max-batch", "0"),
+        ("--max-batch", "-5"), ("--workers", "two"),
+    ])
+    def test_values_below_one_exit_2(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--dir", str(tmp_path / "void"), flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
